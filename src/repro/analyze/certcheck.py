@@ -106,6 +106,7 @@ _CHANNEL_RE = re.compile(
 _Chan = tuple[int, int, int, str]
 
 
+# Kept apart from repro.jsonio on purpose: the independent checker shares no code.
 def _canonical(obj: Any) -> str:
     return json.dumps(
         obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False

@@ -19,9 +19,10 @@ here.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any
+
+from repro import jsonio
 
 __all__ = [
     "CERT_SCHEMA",
@@ -49,9 +50,7 @@ def canonical_json(obj: Any) -> str:
     they are value-equal, and any byte flip in the canonical form changes
     either the parsed value or the validity of the JSON.
     """
-    return json.dumps(
-        obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False
-    )
+    return jsonio.canonical(obj)
 
 
 def content_digest(payload: dict[str, Any]) -> str:

@@ -20,13 +20,13 @@ checkpoint format content-addressable.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 import time
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
+from repro import jsonio
 from repro.errors import EbdaError, SimulationError, UnroutableError
 from repro.obs.ledger import record_run
 from repro.obs.metrics import REGISTRY
@@ -129,14 +129,12 @@ class CampaignConfig:
         """The campaign's 16-hex identity (checkpoint directory name)."""
         import repro
 
-        material = json.dumps(
+        material = jsonio.canonical(
             {
                 "schema": CHAOS_SCHEMA,
                 "version": repro.__version__,
                 "config": self.to_dict(),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
         return hashlib.sha256(material.encode()).hexdigest()[:16]
 
@@ -300,9 +298,7 @@ def _run_trial(payload: "tuple[CampaignConfig, int]") -> dict:
 
 def trial_record_bytes(record: dict) -> bytes:
     """The canonical bytes of one trial record (checkpointed verbatim)."""
-    return json.dumps(
-        record, sort_keys=True, separators=(",", ":"), allow_nan=False
-    ).encode()
+    return jsonio.canonical(record).encode()
 
 
 @dataclass
@@ -318,7 +314,7 @@ class CampaignReport:
     @cached_property
     def records(self) -> list[dict]:
         """The parsed trial records, in index order."""
-        return [json.loads(data) for data in self.trial_bytes]
+        return [jsonio.loads(data.decode()) for data in self.trial_bytes]
 
     @property
     def trials_completed(self) -> int:
@@ -365,16 +361,9 @@ class CampaignReport:
         file is byte-identical across reruns and resumes.
         """
         path = Path(path)
-        lines = [
-            json.dumps(
-                self.meta(), sort_keys=True, separators=(",", ":"), allow_nan=False
-            ).encode()
-        ]
+        lines = [jsonio.canonical(self.meta()).encode()]
         lines.extend(self.trial_bytes)
-        lines.extend(
-            json.dumps(s, sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
-            for s in self.survival()
-        )
+        lines.extend(jsonio.canonical(s).encode() for s in self.survival())
         path.write_bytes(b"\n".join(lines) + b"\n")
         return len(lines)
 
@@ -464,7 +453,7 @@ class ChaosCampaign:
             progress(f"resumed {resumed} trial(s) from {self.checkpoint.directory}")
         counts: dict[str, int] = {}
         for data in stored.values():
-            outcome = json.loads(data)["outcome"]
+            outcome = jsonio.loads(data.decode())["outcome"]
             counts[outcome] = counts.get(outcome, 0) + 1
 
         batch_size = max(8, self.engine.jobs * 4)

@@ -20,17 +20,17 @@ Three properties follow directly from that layout:
   :class:`~repro.chaos.campaign.CampaignConfig` plus the schema and
   library version, so a config tweak resumes nothing stale.
 
-Writes are atomic (tmp + rename), mirroring
-:class:`~repro.sim.parallel.ResultCache`, so a kill mid-write leaves at
-worst an ignorable tmp file.
+Writes are atomic (:func:`repro.jsonio.atomic_write`: tmp + rename), so
+a kill mid-write leaves at worst an ignorable tmp file.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import re
 from pathlib import Path
+
+from repro import jsonio
 
 __all__ = ["CampaignCheckpoint", "record_digest"]
 
@@ -79,9 +79,7 @@ class CampaignCheckpoint:
             return self._path(index, record_digest(data))
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(index, record_digest(data))
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+        jsonio.atomic_write(path, data)
         return path
 
     def completed(self) -> dict[int, bytes]:

@@ -43,11 +43,11 @@ through :class:`~repro.sim.parallel.ResultCache`.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+from repro import jsonio
 from repro.errors import EbdaError, SimulationError
 from repro.sim.flit import Packet
 from repro.topology.base import Coord, Topology
@@ -181,7 +181,7 @@ class WorkloadTrace:
 
     def token(self) -> str:
         """A stable content-addressed cache token for this trace."""
-        material = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        material = jsonio.canonical(self.to_dict())
         return f"trace:{self.kind}:{hashlib.sha256(material.encode()).hexdigest()[:16]}"
 
     def describe(self) -> str:
@@ -202,26 +202,20 @@ class WorkloadTrace:
         ``replay`` traces follow with one ``injection`` record per event,
         so the on-disk format doubles as a language-agnostic trace format.
         """
-        path = Path(path)
         meta = {"record": "workload-meta", **self.to_dict()}
         meta.pop("events", None)
-        lines = [json.dumps(meta, sort_keys=True, allow_nan=False)]
-        for cycle, src, dst, length in self.events:
-            lines.append(
-                json.dumps(
-                    {
-                        "record": "injection",
-                        "cycle": cycle,
-                        "src": list(src),
-                        "dst": list(dst),
-                        "length": length,
-                    },
-                    sort_keys=True,
-                    allow_nan=False,
-                )
-            )
-        path.write_text("\n".join(lines) + "\n")
-        return len(lines)
+        # The format has sorted keys; records are flat, so one level suffices.
+        injections = (
+            {
+                "cycle": cycle,
+                "dst": list(dst),
+                "length": length,
+                "record": "injection",
+                "src": list(src),
+            }
+            for cycle, src, dst, length in self.events
+        )
+        return jsonio.write_jsonl(path, [dict(sorted(meta.items())), *injections])
 
     # -- materialisation --------------------------------------------------------
 
@@ -400,24 +394,10 @@ def load_workload(path: "str | Path") -> WorkloadTrace:
 
     The inverse of ``save_jsonl``: ``load_workload(save(t)) == t``.
     """
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise EbdaError(f"cannot read workload file {path}: {exc}") from exc
     meta: dict | None = None
     events: list[tuple] = []
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(
-                line, parse_constant=lambda t: (_ for _ in ()).throw(ValueError(t))
-            )
-        except ValueError as exc:
-            raise EbdaError(f"{path}:{lineno}: not strict JSON: {exc}") from exc
-        if not isinstance(record, dict) or "record" not in record:
+    for lineno, record in jsonio.read_jsonl(path, "workload"):
+        if "record" not in record:
             raise EbdaError(f"{path}:{lineno}: not a workload record")
         kind = record.pop("record")
         if kind == "workload-meta":

@@ -368,6 +368,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     import json
 
+    from repro import jsonio
     from repro.errors import RoutingError
     from repro.sim import (
         NAMED_ROUTING_FACTORIES,
@@ -427,16 +428,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.metrics_out:
         # Per-point compact summaries (full per-channel series belong to
         # `simulate --metrics-out`; a sweep meters every point cheaply).
-        with open(args.metrics_out, "w") as fh:
-            for result in report.results:
-                entry = {
-                    "record": "sweep-point",
-                    "routing": result.routing_name,
-                    "injection_rate": result.config.injection_rate,
-                }
-                if result.metrics is not None:
-                    entry.update(result.metrics.summary_dict())
-                fh.write(json.dumps(entry, allow_nan=False) + "\n")
+        entries = (
+            {
+                "record": "sweep-point",
+                "routing": r.routing_name,
+                "injection_rate": r.config.injection_rate,
+                **(r.metrics.summary_dict() if r.metrics is not None else {}),
+            }
+            for r in report.results
+        )
+        jsonio.write_jsonl(args.metrics_out, entries)
         print(f"per-point metrics written to {args.metrics_out}")
     return 1 if any(r.deadlocked for r in report.results) else 0
 
@@ -956,15 +957,15 @@ def _ledger_certify(
 def cmd_exists(args: argparse.Namespace) -> int:
     import json
 
+    from repro import jsonio
     from repro.core.arbitrary import verdict_from_turns
     from repro.topology.irregular import GraphTopology
 
     try:
-        with open(args.graph) as fh:
-            spec = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"cannot read graph file {args.graph!r}: {exc}")
-    if not isinstance(spec, dict) or "edges" not in spec:
+        spec = jsonio.read_json(args.graph, "graph")
+    except EbdaError as exc:
+        raise SystemExit(str(exc))
+    if "edges" not in spec:
         raise SystemExit(
             'graph JSON must be an object with an "edges" list;'
             ' optional keys: "nodes", "design"'

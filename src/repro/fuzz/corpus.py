@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import EbdaError
+from repro import jsonio
 from repro.fuzz.design import FuzzDesign
 from repro.fuzz.oracle import DifferentialOracle, TrialResult
 
@@ -35,8 +35,7 @@ __all__ = [
 
 def entry_id(design: FuzzDesign) -> str:
     """Stable content hash of a design recipe (12 hex chars)."""
-    canonical = json.dumps(design.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+    return hashlib.sha256(jsonio.canonical(design.to_dict()).encode()).hexdigest()[:12]
 
 
 @dataclass
@@ -84,12 +83,7 @@ def save_entry(entry: CorpusEntry, corpus_dir: str | Path) -> Path:
 
 
 def load_entry(path: str | Path) -> CorpusEntry:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise EbdaError(f"cannot load corpus entry {path}: {exc}") from exc
-    return CorpusEntry.from_dict(data)
+    return CorpusEntry.from_dict(jsonio.read_json(path, "corpus entry"))
 
 
 def load_corpus(corpus_dir: str | Path) -> list[CorpusEntry]:

@@ -16,12 +16,12 @@ minimises it to within the 2-ary 2-mesh witness bound.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro import jsonio
 from repro.fuzz.corpus import CorpusEntry, load_corpus, replay_entry, save_entry
 from repro.fuzz.design import FuzzDesign, Mutation
 from repro.fuzz.generator import DEFAULT_FAMILIES, DesignGenerator
@@ -110,29 +110,21 @@ class FuzzReport:
         """One JSON line per trial, then one ``report`` line with totals."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as fh:
-            for i, trial in enumerate(self.trials):
-                fh.write(
-                    json.dumps({"kind": "trial", "trial": i, **trial.to_dict()})
-                    + "\n"
-                )
-            fh.write(
-                json.dumps(
-                    {
-                        "kind": "report",
-                        "seed": self.seed,
-                        "runs_requested": self.runs_requested,
-                        "runs_completed": self.runs_completed,
-                        "elapsed_s": self.elapsed_s,
-                        "counts": self.counts,
-                        "ok": self.ok,
-                        "disagreements": [
-                            d.to_dict() for d in self.disagreements
-                        ],
-                    }
-                )
-                + "\n"
-            )
+        trials = (
+            {"kind": "trial", "trial": i, **trial.to_dict()}
+            for i, trial in enumerate(self.trials)
+        )
+        totals = {
+            "kind": "report",
+            "seed": self.seed,
+            "runs_requested": self.runs_requested,
+            "runs_completed": self.runs_completed,
+            "elapsed_s": self.elapsed_s,
+            "counts": self.counts,
+            "ok": self.ok,
+            "disagreements": [d.to_dict() for d in self.disagreements],
+        }
+        jsonio.write_jsonl(path, [*trials, totals])
         return path
 
 

@@ -2,11 +2,10 @@
 
 Long-running campaigns (chaos sweeps, fuzzing runs, big rate sweeps)
 write one *heartbeat file* each — a single strict-JSON object rewritten
-atomically (tmp + rename, mirroring
-:class:`~repro.sim.parallel.ResultCache`) after every batch.  A reader
-can therefore never observe a torn heartbeat, and a crashed campaign
-leaves its last beat behind with a growing staleness age instead of a
-corrupt file.
+atomically (:func:`repro.jsonio.atomic_write`: tmp + rename) after every
+batch.  A reader can therefore never observe a torn heartbeat, and a
+crashed campaign leaves its last beat behind with a growing staleness
+age instead of a corrupt file.
 
 ``repro top`` tails a heartbeat directory (default
 ``<cache-dir>/heartbeats``) and renders every campaign's progress bar,
@@ -20,12 +19,12 @@ records, ledgers and reports never embed heartbeat data.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 from typing import Any, Iterator
 
+from repro import jsonio
 from repro.errors import EbdaError
 
 __all__ = [
@@ -124,13 +123,11 @@ class HeartbeatWriter:
             **extra,
         }
         try:
-            json.dumps(record, allow_nan=False)
+            data = jsonio.line(dict(sorted(record.items())))
         except (TypeError, ValueError) as exc:
             raise EbdaError(f"heartbeat fields must be strict-JSON-safe: {exc}") from None
         self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(record, allow_nan=False, sort_keys=True))
-        os.replace(tmp, self.path)
+        jsonio.atomic_write(self.path, data.encode())
         self.beats += 1
         return record
 
@@ -147,12 +144,8 @@ _REQUIRED = (
 def load_heartbeat(path: "str | Path") -> dict:
     """Load and validate one heartbeat file; raises :class:`EbdaError` on
     schema violations."""
-    path = Path(path)
-    try:
-        record = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise EbdaError(f"cannot read heartbeat {path}: {exc}") from None
-    if not isinstance(record, dict) or record.get("record") != "heartbeat":
+    record = jsonio.read_json(path, "heartbeat")
+    if record.get("record") != "heartbeat":
         raise EbdaError(f"{path}: not a heartbeat record")
     if record.get("schema") != HEARTBEAT_SCHEMA:
         raise EbdaError(

@@ -28,7 +28,6 @@ who never opt in never touch the filesystem.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import platform
 import time
@@ -36,6 +35,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterable
 
+from repro import jsonio
 from repro.errors import EbdaError
 
 __all__ = [
@@ -77,9 +77,7 @@ def versions() -> dict[str, str]:
 def outcome_digest(payload: Any) -> str:
     """16-hex content digest of a strict-JSON-safe outcome payload."""
     try:
-        material = json.dumps(
-            payload, sort_keys=True, separators=(",", ":"), allow_nan=False
-        )
+        material = jsonio.canonical(payload)
     except (TypeError, ValueError) as exc:
         raise EbdaError(f"outcome payload must be strict-JSON-safe: {exc}") from None
     return hashlib.sha256(material.encode()).hexdigest()[:16]
@@ -113,7 +111,7 @@ class RunRecord:
     @property
     def run_id(self) -> str:
         """16-hex digest of the identity half (kind/spec/backend/seed/versions)."""
-        material = json.dumps(
+        material = jsonio.canonical(
             {
                 "schema": LEDGER_SCHEMA,
                 "kind": self.kind,
@@ -121,9 +119,7 @@ class RunRecord:
                 "backend": self.backend,
                 "seed": self.seed,
                 "versions": self.versions,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
         return hashlib.sha256(material.encode()).hexdigest()[:16]
 
@@ -190,9 +186,7 @@ class RunLedger:
         if not record.created_at:
             object.__setattr__(record, "created_at", time.time())
         self.directory.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(
-            record.to_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False
-        )
+        line = jsonio.canonical(record.to_dict())
         with self.path.open("a") as fh:
             fh.write(line + "\n")
         return record
@@ -202,14 +196,11 @@ class RunLedger:
         if not self.path.is_file():
             return []
         out = []
-        for lineno, line in enumerate(self.path.read_text().splitlines(), start=1):
-            if not line.strip():
-                continue
+        for lineno, data in jsonio.read_jsonl(self.path, "ledger"):
             try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise EbdaError(f"{self.path}:{lineno}: not valid JSON: {exc}") from None
-            out.append(RunRecord.from_dict(data))
+                out.append(RunRecord.from_dict(data))
+            except EbdaError as exc:
+                raise EbdaError(f"{self.path}:{lineno}: {exc}") from None
         return out
 
     def __len__(self) -> int:
@@ -240,7 +231,7 @@ class RunLedger:
             variants: list[dict] = []
             seen: set[tuple] = set()
             for m in members:
-                key = (json.dumps(m.versions, sort_keys=True), m.digest)
+                key = (jsonio.canonical(m.versions), m.digest)
                 if key in seen:
                     continue
                 seen.add(key)

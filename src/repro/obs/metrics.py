@@ -30,13 +30,13 @@ feeds back into cache keys or simulation results.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from bisect import bisect_right
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from repro import jsonio
 from repro.errors import EbdaError
 
 __all__ = [
@@ -297,22 +297,13 @@ class MetricsRegistry:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         records = self.snapshot()
-        with path.open("w") as fh:
-            fh.write(
-                json.dumps(
-                    {
-                        "schema": METRICS_SCHEMA,
-                        "record": "metrics-meta",
-                        "instruments": len(records),
-                        "captured_at": time.time(),
-                    },
-                    allow_nan=False,
-                )
-                + "\n"
-            )
-            for record in records:
-                fh.write(json.dumps(record, allow_nan=False) + "\n")
-        return len(records) + 1
+        meta = {
+            "schema": METRICS_SCHEMA,
+            "record": "metrics-meta",
+            "instruments": len(records),
+            "captured_at": time.time(),
+        }
+        return jsonio.write_jsonl(path, [meta, *records])
 
 
 #: The process-wide default registry the instrumented subsystems write to.

@@ -35,12 +35,12 @@ Usage::
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
+from repro import jsonio
 from repro.errors import EbdaError
 
 __all__ = [
@@ -66,7 +66,7 @@ _EVENTS = ("span-start", "span-end")
 def _check_attrs(attrs: dict) -> dict:
     """Validate span attributes are strict-JSON-safe plain data."""
     try:
-        json.dumps(attrs, allow_nan=False)
+        jsonio.line(attrs)
     except (TypeError, ValueError) as exc:
         raise EbdaError(f"span attributes must be strict-JSON-safe: {exc}") from None
     return attrs
@@ -185,10 +185,7 @@ class Tracer:
         """Write every event as strict JSON Lines; returns the line count."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as fh:
-            for event in self.events:
-                fh.write(json.dumps(event, allow_nan=False) + "\n")
-        return len(self.events)
+        return jsonio.write_jsonl(path, self.events)
 
 
 class _NullSpan:
@@ -261,15 +258,7 @@ def load_trace(path: "str | Path") -> list[dict[str, Any]]:
     """Load and validate a span JSONL file; raises :class:`EbdaError` on
     any malformed line (wrong schema, unknown event, missing field)."""
     events = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise EbdaError(f"{path}:{lineno}: not valid JSON: {exc}") from None
-        if not isinstance(event, dict):
-            raise EbdaError(f"{path}:{lineno}: event must be a JSON object")
+    for lineno, event in jsonio.read_jsonl(path, "trace"):
         if event.get("schema") != SPAN_SCHEMA:
             raise EbdaError(
                 f"{path}:{lineno}: unsupported span schema"

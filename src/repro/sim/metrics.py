@@ -30,11 +30,11 @@ of an exported file via :func:`load_metrics` / :func:`render_summary` /
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
+from repro import jsonio
 from repro.errors import EbdaError, SimulationError
 from repro.topology.wires import Wire
 
@@ -603,11 +603,7 @@ class MetricsCollector:
 
     def to_jsonl(self, path, stats: "SimStats | None" = None) -> int:
         """Write every record as strict JSON Lines; returns the line count."""
-        records = self.records(stats)
-        with open(path, "w") as fh:
-            for record in records:
-                fh.write(json.dumps(record, allow_nan=False) + "\n")
-        return len(records)
+        return jsonio.write_jsonl(path, self.records(stats))
 
     def to_csv(self, path) -> int:
         """Write the global sampled series as CSV; returns the row count."""
@@ -636,33 +632,18 @@ class MetricsCollector:
 # -- reading and rendering exported telemetry ------------------------------------
 
 
-def _reject_constant(token: str) -> float:
-    raise ValueError(f"non-strict JSON constant {token!r} in metrics file")
-
-
 def load_metrics(path) -> list[dict]:
     """Load a JSONL telemetry export back into its record dicts.
 
-    Strict: rejects ``NaN``/``Infinity`` tokens, non-object lines, and
-    files whose leading record is not a compatible ``meta`` record.
+    Strict (:func:`repro.jsonio.read_jsonl`): rejects ``NaN``/``Infinity``
+    tokens, non-object lines, and files whose leading record is not a
+    compatible ``meta`` record.
     """
     records: list[dict] = []
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise EbdaError(f"cannot read metrics file {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line, parse_constant=_reject_constant)
-            except ValueError as exc:
-                raise EbdaError(f"{path}:{lineno}: not strict JSON: {exc}") from exc
-            if not isinstance(record, dict) or "record" not in record:
-                raise EbdaError(f"{path}:{lineno}: not a telemetry record")
-            records.append(record)
+    for lineno, record in jsonio.read_jsonl(path, "metrics"):
+        if "record" not in record:
+            raise EbdaError(f"{path}:{lineno}: not a telemetry record")
+        records.append(record)
     if not records or records[0].get("record") != "meta":
         raise EbdaError(f"{path}: missing leading meta record")
     if records[0].get("schema") != METRICS_SCHEMA:

@@ -34,7 +34,6 @@ written, and it can never produce a stale hit.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pickle
 import time
@@ -43,6 +42,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from repro import jsonio
+from repro.errors import EbdaError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import current_tracer
 from repro.routing.base import RoutingFunction
@@ -207,8 +208,8 @@ def cache_key(
 class ResultCache:
     """On-disk store of finished simulation points, one JSON file per key.
 
-    Writes are atomic (tmp file + rename), so concurrent sweeps sharing a
-    directory can only ever observe complete entries.
+    Writes are atomic (:func:`repro.jsonio.atomic_write`), so concurrent
+    sweeps sharing a directory can only ever observe complete entries.
     """
 
     def __init__(self, directory: "Path | str | None" = None) -> None:
@@ -218,20 +219,19 @@ class ResultCache:
         return self.directory / f"{key}.json"
 
     def get(self, key: str, config: RunConfig) -> RunResult | None:
-        """The cached result for ``key`` (rebuilt around ``config``), or None."""
-        path = self._path(key)
+        """The cached result for ``key`` (rebuilt around ``config``); a bad entry misses."""
         try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            payload = jsonio.read_json(self._path(key), "cache entry")
+            if payload.get("schema") != CACHE_SCHEMA:
+                return None
+            return RunResult(
+                routing_name=payload["routing_name"],
+                config=config,
+                stats=SimStats.from_dict(payload["stats"]),
+                n_nodes=payload["n_nodes"],
+            )
+        except (EbdaError, KeyError, TypeError, ValueError):
             return None
-        if payload.get("schema") != CACHE_SCHEMA:
-            return None
-        return RunResult(
-            routing_name=payload["routing_name"],
-            config=config,
-            stats=SimStats.from_dict(payload["stats"]),
-            n_nodes=payload["n_nodes"],
-        )
 
     def put(self, key: str, result: RunResult, wall_time: float) -> None:
         """Store a finished point under ``key``."""
@@ -243,10 +243,7 @@ class ResultCache:
             "stats": result.stats.to_dict(),
             "wall_time": wall_time,
         }
-        path = self._path(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(payload))
-        os.replace(tmp, path)
+        jsonio.atomic_write(self._path(key), jsonio.line(payload).encode())
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).is_file()

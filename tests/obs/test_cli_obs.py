@@ -2,9 +2,14 @@
 pipeline commands, `repro runs`, `repro top`, and campaign progress."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.obs import HeartbeatWriter, check_balance, load_trace, set_ledger
 
@@ -84,6 +89,26 @@ class TestLedgerFlag:
     def test_runs_list_empty_ledger(self, tmp_path, capsys):
         assert main(["runs", "list", "--ledger", str(tmp_path)]) == 0
         assert "no runs recorded" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "bad_line", ["[]", '{"schema": 1, "record": "run", "kind": "sweep"}']
+    )
+    def test_runs_list_corrupt_ledger_is_one_line_error(self, tmp_path, bad_line):
+        ledger = tmp_path / "ledger"
+        assert main(SWEEP + ["--ledger", str(ledger)]) == 0
+        with (ledger / "ledger.jsonl").open("a") as fh:
+            fh.write(bad_line + "\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "runs", "list", "--ledger", str(ledger)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"{ledger / 'ledger.jsonl'}:2:" in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
 
     def test_lint_records_run(self, tmp_path, capsys):
         ledger = tmp_path / "ledger"

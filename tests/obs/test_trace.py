@@ -175,6 +175,26 @@ class TestLoadTrace:
         with pytest.raises(EbdaError, match="missing field"):
             load_trace(self._write(tmp_path, [line]))
 
+    def test_missing_file_is_an_ebda_error(self, tmp_path):
+        with pytest.raises(EbdaError, match="cannot read trace file"):
+            load_trace(tmp_path / "nope.jsonl")
+
+    def test_rejects_non_object_line(self, tmp_path):
+        with pytest.raises(EbdaError, match=r"spans\.jsonl:1: .*JSON object"):
+            load_trace(self._write(tmp_path, ["[]"]))
+
+    @pytest.mark.parametrize(
+        "t, attrs", [("NaN", "{}"), ("0.0", '{"rate": Infinity}'),
+                     ("0.0", '{"rate": -Infinity}')]
+    )
+    def test_rejects_non_finite_tokens(self, tmp_path, t, attrs):
+        good = json.dumps({"event": "span-start", "schema": 1, "span": 0,
+                           "parent": None, "name": "x", "t": 0.0, "attrs": {}})
+        bad = ('{"event": "span-end", "schema": 1, "span": 0, "name": "x",'
+               f' "t": {t}, "elapsed_s": 1.0, "attrs": {attrs}}}')
+        with pytest.raises(EbdaError, match=r"spans\.jsonl:2: .*strict JSON"):
+            load_trace(self._write(tmp_path, [good, bad]))
+
 
 class TestCheckBalance:
     def test_unclosed_span_detected(self):

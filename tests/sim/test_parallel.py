@@ -12,7 +12,7 @@ from repro.sim import (
     default_cache_dir,
     sweep_rates,
 )
-from repro.sim.parallel import topology_token
+from repro.sim.parallel import CACHE_SCHEMA, topology_token
 from repro.topology import Mesh
 from repro.topology.classes import no_classes
 
@@ -106,6 +106,31 @@ class TestResultCache:
         (tmp_path / "cache" / f"{outcome.key}.json").write_text("{not json")
         again = engine.run_point(mesh4, "xy", _config())
         assert not again.cached  # re-simulated, not crashed
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda text: "[]",
+            lambda text: json.dumps({"schema": CACHE_SCHEMA}),
+            lambda text: json.dumps({"schema": CACHE_SCHEMA, "routing_name": "xy",
+                                     "n_nodes": 16, "stats": [1, 2]}),
+            lambda text: text.replace('"wall_time": ', '"wall_time": NaN, "was": '),
+            lambda text: text.replace("{", '{"extra": -Infinity, ', 1),
+        ],
+        ids=["list", "schema-only", "stats-not-object", "nan-token", "infinity-token"],
+    )
+    def test_misshapen_entry_is_a_miss(self, mesh4, tmp_path, corrupt):
+        cache = ResultCache(tmp_path / "cache")
+        engine = SweepEngine(cache=cache)
+        outcome = engine.run_point(mesh4, "xy", _config())
+        path = tmp_path / "cache" / f"{outcome.key}.json"
+        text = path.read_text()
+        path.write_text(corrupt(text))
+        assert path.read_text() != text
+        assert cache.get(outcome.key, _config()) is None
+        again = engine.run_point(mesh4, "xy", _config())
+        assert not again.cached  # re-simulated, not crashed
+        assert again.result.stats == outcome.result.stats
 
     def test_clear(self, mesh4, tmp_path):
         cache = ResultCache(tmp_path / "cache")
