@@ -55,11 +55,8 @@ def unbroken_rings(
                 for b in there:
                     if a == b or turnset.allows(a, b):
                         graph.add_edge((i, a), ((i + 1) % k, b))
-        try:
-            nx.find_cycle(graph)
-        except nx.NetworkXNoCycle:
-            continue
-        out.append(ring)
+        if not nx.is_directed_acyclic_graph(graph):
+            out.append(ring)
     return out
 
 

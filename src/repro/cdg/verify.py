@@ -63,13 +63,18 @@ class Verdict:
 
 
 def verdict_for(graph: "nx.DiGraph") -> Verdict:
-    """Evaluate an already-built dependency graph."""
-    try:
-        edges = nx.find_cycle(graph, orientation="original")
-    except nx.NetworkXNoCycle:
-        return Verdict(True, graph.number_of_nodes(), graph.number_of_edges())
-    cycle = tuple(edge[0] for edge in edges)
-    return Verdict(False, graph.number_of_nodes(), graph.number_of_edges(), cycle)
+    """Evaluate an already-built dependency graph.
+
+    Acyclicity is decided by one linear Kahn pass; the witness search
+    (``find_cycle``, whose edge-DFS restarts from every node and is
+    superlinear on acyclic graphs) runs only once a cycle is known to
+    exist.
+    """
+    wires, dependencies = graph.number_of_nodes(), graph.number_of_edges()
+    if nx.is_directed_acyclic_graph(graph):
+        return Verdict(True, wires, dependencies)
+    edges = nx.find_cycle(graph, orientation="original")
+    return Verdict(False, wires, dependencies, tuple(edge[0] for edge in edges))
 
 
 def verify_design(

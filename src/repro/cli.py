@@ -7,7 +7,8 @@ Commands
 ``run <experiment-id> [...]``
     Run one or more experiments (or ``all``) and print their reports.
 ``verify <design> [--mesh KxK[xK]] [--rule NAME]``
-    Verify a partition sequence in arrow notation on a concrete topology.
+    Verify a partition sequence in arrow notation on a concrete topology
+    (exit 0 deadlock-free, 1 cyclic, 2 bad input).
 ``design <vc-budget>``
     Run Algorithm 1 on a comma-separated VC budget and print the design,
     its turns and its verification verdict.
@@ -56,7 +57,8 @@ Commands
     Arbitrary-network existence check (:mod:`repro.core.arbitrary`):
     read a directed graph from JSON (``{"edges": [[src, dst], ...]}``),
     lay a channel-class design over it and report whether a
-    deadlock-free routing exists (exit 1 when it does not).
+    deadlock-free routing exists (exit 0 when it does, 1 when it does
+    not, 2 on bad input).
 ``runs list|show <id-prefix>|diff [--ledger DIR]``
     Query the run ledger (:mod:`repro.obs.ledger`): list every recorded
     invocation, show one record by run-id prefix, or report *drift* —
@@ -83,6 +85,7 @@ and beat a heartbeat file per batch; ``--quiet`` suppresses both.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from contextlib import contextmanager
@@ -200,6 +203,28 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+def _verdict_verb(command):
+    """Exit 2 on bad input so that exit 1 means only a negative verdict.
+
+    Input errors are raised as ``SystemExit(message)``, which Python
+    reports as exit 1; a verdict verb prints the same one-line message to
+    stderr and exits 2 instead.
+    """
+
+    @functools.wraps(command)
+    def wrapped(args: argparse.Namespace) -> int:
+        try:
+            return command(args)
+        except SystemExit as exc:
+            if not isinstance(exc.code, str):
+                raise
+            print(exc.code, file=sys.stderr)
+            raise SystemExit(2) from None
+
+    return wrapped
+
+
+@_verdict_verb
 def cmd_verify(args: argparse.Namespace) -> int:
     design, suggested = _resolve_design(args.design)
     mesh = _parse_mesh(args.mesh)
@@ -954,6 +979,7 @@ def _ledger_certify(
     )
 
 
+@_verdict_verb
 def cmd_exists(args: argparse.Namespace) -> int:
     import json
 
@@ -982,7 +1008,10 @@ def cmd_exists(args: argparse.Namespace) -> int:
         edges = [(coord(u), coord(v)) for u, v in spec["edges"]]
     except (TypeError, ValueError):
         raise SystemExit('each edge must be a [src, dst] pair')
-    nodes = [coord(n) for n in spec.get("nodes", ())]
+    try:
+        nodes = [coord(n) for n in spec.get("nodes", ())]
+    except TypeError:
+        raise SystemExit('"nodes" must be a list of node labels')
 
     # The channel-class structure laid over the graph: a partition
     # sequence in arrow notation (CLI flag wins over the file's "design"
@@ -995,6 +1024,8 @@ def cmd_exists(args: argparse.Namespace) -> int:
         turnset = extract_turns(sequence, validate=False)
     except EbdaError as exc:
         raise SystemExit(str(exc))
+    except TypeError:
+        raise SystemExit("node labels must be numbers, strings or lists of them")
 
     verdict = verdict_from_turns(topology, turnset, sequence.all_channels)
 

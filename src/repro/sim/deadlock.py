@@ -84,10 +84,9 @@ def build_waitfor_graph(sim: "NetworkSimulator") -> "nx.DiGraph":
 def waitfor_cycle(sim: "NetworkSimulator") -> list[int] | None:
     """A cyclic wait among packet ids, or None when no cycle exists."""
     graph = build_waitfor_graph(sim)
-    try:
-        edges = nx.find_cycle(graph, orientation="original")
-    except nx.NetworkXNoCycle:
+    if nx.is_directed_acyclic_graph(graph):
         return None
+    edges = nx.find_cycle(graph, orientation="original")
     return [e[0] for e in edges]
 
 

@@ -168,3 +168,90 @@ class TestCyclicCore:
             cycles = all_cycles(graph, limit=5)
         for cycle in cycles:
             assert set(cycle) <= core
+
+
+def _mesh_catalog_2d() -> list[str]:
+    """Catalog designs over the two mesh dimensions (no dragonfly/fat-tree)."""
+    from repro.topology.classes import local_global, rule_for_design, up_down_signs
+
+    return [
+        name
+        for name in sorted(catalog.NAMED_DESIGNS)
+        if {ch.dim for ch in catalog.design(name).all_channels} == {0, 1}
+        and rule_for_design(name) not in (local_global, up_down_signs)
+    ]
+
+
+class TestLinearVerdict:
+    """An acyclic verdict never walks ``find_cycle`` (superlinear there)."""
+
+    @pytest.fixture
+    def no_find_cycle(self, monkeypatch):
+        import networkx as nx
+
+        def boom(*args, **kwargs):
+            raise AssertionError("find_cycle called on an acyclic CDG")
+
+        monkeypatch.setattr(nx, "find_cycle", boom)
+
+    def test_catalog_2d_designs_on_8x8(self, no_find_cycle):
+        from repro.topology.classes import rule_for_design
+
+        names = _mesh_catalog_2d()
+        assert len(names) == 10
+        for name in names:
+            v = verify_design(catalog.design(name), Mesh(8, 8), rule_for_design(name))
+            assert v.acyclic and v.cycle == (), name
+
+    def test_west_first_32x32(self, no_find_cycle):
+        v = verify_design(catalog.design("west-first"), Mesh(32, 32))
+        assert (v.acyclic, v.wires, v.dependencies) == (True, 3968, 11590)
+
+
+def _cyclic_controls():
+    from repro.cdg import build_routing_cdg, build_turn_cdg
+
+    mesh4 = Mesh(4, 4)
+    bad = Partition.of("X+ X- Y+ Y-")
+    yield "two-pairs", build_turn_cdg(
+        mesh4, TurnSet({"bad": theorem1_turns(bad)}), bad.channels
+    )
+    yield "unrestricted", build_routing_cdg(mesh4, UnrestrictedAdaptive(mesh4))
+    yield "north-last-torus", build_design_cdg(Torus(4, 4), catalog.north_last())
+
+
+def _cyclic_corpus_graphs():
+    from pathlib import Path
+
+    import networkx as nx
+
+    from repro.fuzz import DifferentialOracle, load_corpus
+
+    oracle = DifferentialOracle()
+    corpus = Path(__file__).parent.parent / "fuzz" / "corpus"
+    for entry in load_corpus(corpus):
+        graph = oracle.cdg_graph(entry.design)
+        if not nx.is_directed_acyclic_graph(graph):
+            yield f"corpus:{entry.id}", graph
+
+
+class TestWitnessPinned:
+    """The witness of a cyclic CDG is exactly ``find_cycle``'s first walk."""
+
+    def test_cyclic_controls_and_corpus(self):
+        import networkx as nx
+
+        from repro.cdg import verdict_for
+
+        graphs = list(_cyclic_controls()) + list(_cyclic_corpus_graphs())
+        assert len(graphs) > 3  # the corpus holds cyclic entries too
+        for name, graph in graphs:
+            expected = tuple(
+                edge[0] for edge in nx.find_cycle(graph, orientation="original")
+            )
+            v = verdict_for(graph)
+            assert not v.acyclic, name
+            assert v.cycle == expected, name
+            assert (v.wires, v.dependencies) == (
+                graph.number_of_nodes(), graph.number_of_edges()
+            ), name

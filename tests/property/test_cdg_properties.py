@@ -9,7 +9,9 @@ paper's central claim run against thousands of generated instances.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cdg import build_turn_cdg, verdict_for, verify_design
+import networkx as nx
+
+from repro.cdg import build_turn_cdg, cyclic_core, verdict_for, verify_design
 from repro.core import (
     NEG,
     POS,
@@ -88,3 +90,33 @@ def test_exceptional_case_options_acyclic(n):
 def test_consecutive_transitions_subset_still_acyclic(budget):
     seq = partition_vc_budget(budget)
     assert verify_design(seq, MESHES[2], transitions="consecutive").acyclic
+
+
+@st.composite
+def small_digraphs(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    node = st.integers(min_value=0, max_value=n - 1)
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(draw(st.lists(st.tuples(node, node), max_size=20)))
+    return graph
+
+
+@given(small_digraphs())
+@settings(max_examples=200, deadline=None)
+def test_verdict_agrees_with_scc_core_and_witness_is_closed(graph):
+    # The linear acyclicity pass must agree with the SCC derivation of the
+    # cyclic core (self-loops included), and any witness must be a closed
+    # walk over the graph's own edges.
+    verdict = verdict_for(graph)
+    assert verdict.acyclic == (cyclic_core(graph) == frozenset())
+    assert (verdict.wires, verdict.dependencies) == (
+        graph.number_of_nodes(), graph.number_of_edges()
+    )
+    if verdict.acyclic:
+        assert verdict.cycle == ()
+        return
+    cycle = verdict.cycle
+    assert cycle
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        assert graph.has_edge(a, b)

@@ -25,17 +25,41 @@ class TestVerify:
     def test_explicit_rule(self, capsys):
         assert main(["verify", "hamiltonian", "--mesh", "4x4", "--rule", "row-parity"]) == 0
 
-    def test_invalid_design_rejected(self):
-        with pytest.raises(SystemExit):
+    def test_invalid_design_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["verify", "X+ X- Y+ Y-", "--mesh", "4x4"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot parse design") and err.count("\n") == 1
 
-    def test_bad_mesh_spec(self):
-        with pytest.raises(SystemExit):
+    def test_bad_mesh_spec(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["verify", "xy", "--mesh", "huge"])
+        assert exc.value.code == 2
+        assert "bad mesh spec 'huge'" in capsys.readouterr().err
 
-    def test_unknown_rule(self):
-        with pytest.raises(SystemExit):
+    def test_unknown_rule(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["verify", "xy", "--mesh", "4x4", "--rule", "nope"])
+        assert exc.value.code == 2
+        assert "unknown rule 'nope'" in capsys.readouterr().err
+
+    def test_cyclic_verdict_exits_one(self, capsys, monkeypatch):
+        # No design that passes validation is cyclic on a mesh (that is
+        # Theorem 1), so feed the verb a real cyclic verdict: the
+        # two-complete-pairs turn set's.
+        import repro.cli
+        from repro.cdg import verify_turnset
+        from repro.core import Partition
+        from repro.core.extraction import theorem1_turns
+        from repro.core.turns import TurnSet
+        from repro.topology import Mesh
+
+        bad = Partition.of("X+ X- Y+ Y-")
+        cyclic = verify_turnset(TurnSet({"bad": theorem1_turns(bad)}), Mesh(4, 4))
+        monkeypatch.setattr(repro.cli, "verify_design", lambda *a, **k: cyclic)
+        assert main(["verify", "xy", "--mesh", "4x4"]) == 1
+        assert "CYCLIC" in capsys.readouterr().out
 
 
 class TestDesign:
@@ -456,14 +480,41 @@ class TestExists:
         assert main(["exists", path, "--design", "X+ -> Y+"]) == 0
         assert "X+ -> Y+" in capsys.readouterr().out
 
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
+    def test_missing_file_rejected(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
             main(["exists", str(tmp_path / "nope.json")])
+        assert exc.value.code == 2
+        assert "cannot read graph file" in capsys.readouterr().err
 
-    def test_malformed_payload_rejected(self, tmp_path):
+    def test_malformed_payload_rejected(self, capsys, tmp_path):
         path = self.graph(tmp_path, {"nodes": [1, 2]})
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["exists", path])
+        assert exc.value.code == 2
+        assert '"edges" list' in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"edges": [[0, 1]], "nodes": 5},
+            {"edges": [[{"a": 1}, 1]]},
+            {"edges": [[0, 1, 2]]},
+            {"edges": [[0, 0]]},
+        ],
+    )
+    def test_bad_graph_exits_two_with_one_line(self, capsys, tmp_path, payload):
+        path = self.graph(tmp_path, payload)
+        with pytest.raises(SystemExit) as exc:
+            main(["exists", path])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err and err.count("\n") == 1
+
+    def test_unparseable_design_exits_two(self, tmp_path):
+        path = self.graph(tmp_path, {"edges": [[0, 1]]})
+        with pytest.raises(SystemExit) as exc:
+            main(["exists", path, "--design", "garbage"])
+        assert exc.value.code == 2
 
 
 class TestFuzzInstantiations:
