@@ -13,7 +13,9 @@ Commands
     Run Algorithm 1 on a comma-separated VC budget and print the design,
     its turns and its verification verdict.
 ``simulate <design-name> [--mesh ...] [--rate ...] [--cycles ...]``
-    Simulate a catalog design (or arrow notation) under uniform traffic.
+    Simulate a catalog design (or arrow notation) under uniform traffic
+    (exit 0 delivered, 1 deadlocked, 2 bad input such as ``--rate``
+    outside [0, 1] or ``--cycles`` < 1).
     ``--fail-link 1,1-2,1 --fail-at 100`` injects runtime link failures
     (with rerouting over the degraded topology); ``--drops N`` injects
     transient flit corruption; ``--recover`` arms regressive recovery.
@@ -94,7 +96,7 @@ from typing import Sequence
 from repro.analysis import format_turn_table
 from repro.cdg import verify_design
 from repro.core import PartitionSequence, catalog, extract_turns, partition_vc_budget
-from repro.errors import EbdaError, FaultError
+from repro.errors import ConfigError, EbdaError, FaultError
 from repro.topology import Mesh, NAMED_RULES
 from repro.topology.classes import rule_for_design
 
@@ -283,6 +285,7 @@ def _parse_link(spec: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
         raise SystemExit(f"bad link spec {spec!r} (use e.g. 1,1-2,1): {exc}")
 
 
+@_verdict_verb
 def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.routing import TurnTableRouting
     from repro.sim import (
@@ -299,6 +302,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     mesh = _parse_mesh(args.mesh)
     rule = rule_for_design(suggested)
     telemetry = bool(args.metrics_out or args.trace_out)
+    try:
+        config = RunConfig(
+            cycles=args.cycles,
+            injection_rate=args.rate,
+            packet_length=args.length,
+            buffer_depth=args.buffers,
+            watchdog=500,
+            seed=args.seed,
+            backend=args.backend,
+        )
+    except ConfigError as exc:
+        raise SystemExit(str(exc)) from None
 
     if (args.fail_link or args.drops or telemetry) and args.backend != "reference":
         raise SystemExit(
@@ -313,15 +328,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         from repro.sim import EbdaDesignFactory, SweepEngine
 
         engine = _engine_from_args(args) or SweepEngine()
-        config = RunConfig(
-            cycles=args.cycles,
-            injection_rate=args.rate,
-            packet_length=args.length,
-            buffer_depth=args.buffers,
-            watchdog=500,
-            seed=args.seed,
-            backend=args.backend,
-        )
         point = engine.run_point(mesh, EbdaDesignFactory(args.design), config, rule)
         from repro.api import _ledger_point
 
@@ -421,22 +427,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
 
     engine = _engine_from_args(args) or SweepEngine()
-    config = RunConfig(
-        cycles=args.cycles,
-        packet_length=args.length,
-        buffer_depth=args.buffers,
-        pattern=args.pattern,
-        selection=args.selection,
-        watchdog=max(500, 2 * args.cycles),
-        seed=args.seed,
-        metrics=bool(args.metrics_out),
-        sample_every=args.sample_every,
-        backend=args.backend,
-    )
-    from repro.errors import ConfigError
     from repro.sim import check_run_config, resolve_backend
 
     try:
+        config = RunConfig(
+            cycles=args.cycles,
+            packet_length=args.length,
+            buffer_depth=args.buffers,
+            pattern=args.pattern,
+            selection=args.selection,
+            watchdog=max(500, 2 * args.cycles),
+            seed=args.seed,
+            metrics=bool(args.metrics_out),
+            sample_every=args.sample_every,
+            backend=args.backend,
+        )
+        for rate in rates:
+            config.with_rate(rate)  # range-checks every rate up front
         check_run_config(resolve_backend(args.backend), config)
     except ConfigError as exc:
         raise SystemExit(str(exc))

@@ -44,10 +44,11 @@ class ConfigError(EbdaError, ValueError):
     """A run configuration is invalid or unsupported as a whole.
 
     Raised eagerly — before any simulation state is built — when a
-    :class:`~repro.sim.runner.RunConfig` names an unknown simulation
-    backend or requests a feature the chosen backend does not implement
-    (e.g. ``metrics=`` on the vectorized backend).  The message always
-    names the offending field and the backend that would accept it.
+    :class:`~repro.sim.runner.RunConfig` holds an out-of-range knob
+    (``injection_rate`` outside [0, 1], ``cycles`` < 1), names an unknown
+    simulation backend or requests a feature the chosen backend does not
+    implement (e.g. ``metrics=`` on the vectorized backend).  The message
+    always names the offending field.
     """
 
 

@@ -12,10 +12,16 @@ north-last).  The table therefore precomputes, per destination, the set of
 stay inside that set.  This is the standard way turn models are realised
 in RTL ("if-else" priority structures, §5.4); reachability filtering
 computes those priorities mechanically for any design.
+
+Cost: the set for one destination comes from a single backward worklist
+pass (:mod:`repro.routing.reach`), linear in the number of (node, class)
+states and (move, class) edges, and is cached per destination.  A run that
+addresses every node of an N-node network therefore pays O(N) work per
+destination once, O(N^2) in total, with the move enumeration per node the
+dominant constant.
 """
 
 from __future__ import annotations
-
 
 from repro.core.channel import Channel
 from repro.core.extraction import extract_turns
@@ -23,6 +29,12 @@ from repro.core.sequence import PartitionSequence
 from repro.core.turns import TurnSet
 from repro.errors import RoutingError
 from repro.routing.base import Candidate, RoutingFunction
+from repro.routing.reach import (
+    PredecessorIndex,
+    backward_reach,
+    legal_before,
+    predecessor_index,
+)
 from repro.topology.base import Coord, Topology
 from repro.topology.classes import ClassRule, no_classes
 
@@ -99,6 +111,8 @@ class TurnTableRouting(RoutingFunction):
         self._fallback = fallback
         self._label = label
         self._reach_cache: dict[Coord, frozenset[tuple[Coord, Channel]]] = {}
+        self._legal_before = legal_before(self._classes, self.transition_legal)
+        self._escape_preds: PredecessorIndex | None = None
 
     @property
     def channel_classes(self) -> tuple[Channel, ...]:
@@ -130,47 +144,29 @@ class TurnTableRouting(RoutingFunction):
     def _reachable_states(self, dst: Coord) -> frozenset[tuple[Coord, Channel]]:
         """(node, class) states from which ``dst`` is reachable.
 
-        Backward fixpoint over the productive-move/legal-transition graph.
         A state (v, c) reaches dst when v == dst, or some productive legal
-        move lands in a reachable state.
+        move lands in a reachable state.  One backward worklist pass
+        (:func:`~repro.routing.reach.backward_reach`) over the moves
+        indexed by landing state: O(nodes x moves x classes) per
+        destination, cached per destination.
         """
         cached = self._reach_cache.get(dst)
         if cached is not None:
             return cached
-
-        # Forward adjacency: state -> list of successor states.
-        # Build lazily per destination since productivity depends on dst.
-        reachable: set[tuple[Coord, Channel]] = {
-            (dst, c) for c in self._classes
-        }
-        # Iterate to fixpoint; state count is small (nodes x classes).
-        changed = True
-        states = [
-            (node, c) for node in self.topology.nodes for c in self._classes
-        ]
-        succ: dict[tuple[Coord, Channel], list[tuple[Coord, Channel]]] = {}
-        for node in self.topology.nodes:
-            if node == dst:
-                continue
-            if self._fallback == "escape":
-                moves = self._all_moves(node)
-            else:
-                moves = self._raw_moves(node, dst)
-            for c in self._classes:
-                succ[(node, c)] = [
-                    (nxt, ch) for nxt, ch in moves if self.transition_legal(c, ch)
-                ]
-        while changed:
-            changed = False
-            for state in states:
-                if state in reachable:
-                    continue
-                for nxt_state in succ.get(state, ()):
-                    if nxt_state in reachable:
-                        reachable.add(state)
-                        changed = True
-                        break
-        frozen = frozenset(reachable)
+        if self._fallback == "escape":
+            # Escape moves ignore the destination: index them once.
+            if self._escape_preds is None:
+                self._escape_preds = predecessor_index(
+                    (node, self._all_moves(node)) for node in self.topology.nodes
+                )
+            preds = self._escape_preds
+        else:
+            preds = predecessor_index(
+                (node, self._raw_moves(node, dst))
+                for node in self.topology.nodes
+                if node != dst
+            )
+        frozen = backward_reach(dst, self._classes, preds, self._legal_before)
         self._reach_cache[dst] = frozen
         return frozen
 

@@ -18,6 +18,12 @@ from collections import deque
 from repro.core.channel import Channel
 from repro.errors import RoutingError
 from repro.routing.base import Candidate, RoutingFunction
+from repro.routing.reach import (
+    PredecessorIndex,
+    backward_reach,
+    legal_before,
+    predecessor_index,
+)
 from repro.topology.base import Coord, Link, Topology
 
 
@@ -63,6 +69,9 @@ class UpDownRouting(RoutingFunction):
             for tag in ("u", "d")
         )
         self._reach_cache: dict[Coord, frozenset[tuple[Coord, Channel]]] = {}
+        # Legality comes from ``self._legal`` so subclass overrides hold.
+        self._legal_before = legal_before(self._classes, self._legal)
+        self._preds: PredecessorIndex | None = None
 
     @staticmethod
     def _bfs_levels(topology: Topology, root: Coord) -> dict[Coord, int]:
@@ -116,23 +125,12 @@ class UpDownRouting(RoutingFunction):
         cached = self._reach_cache.get(dst)
         if cached is not None:
             return cached
-        reachable: set[tuple[Coord, Channel]] = {(dst, c) for c in self._classes}
-        changed = True
-        moves = {node: self._all_moves(node) for node in self.topology.nodes}
-        while changed:
-            changed = False
-            for node in self.topology.nodes:
-                if node == dst:
-                    continue
-                for c in self._classes:
-                    if (node, c) in reachable:
-                        continue
-                    for nxt, ch in moves[node]:
-                        if self._legal(c, ch) and (nxt, ch) in reachable:
-                            reachable.add((node, c))
-                            changed = True
-                            break
-        frozen = frozenset(reachable)
+        if self._preds is None:
+            # Up*/down* moves ignore the destination: index them once.
+            self._preds = predecessor_index(
+                (node, self._all_moves(node)) for node in self.topology.nodes
+            )
+        frozen = backward_reach(dst, self._classes, self._preds, self._legal_before)
         self._reach_cache[dst] = frozen
         return frozen
 

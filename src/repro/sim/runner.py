@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from repro.errors import ConfigError
 from repro.routing.base import RoutingFunction
 from repro.routing.selection import SelectionPolicy
 from repro.sim.backend import check_run_config, resolve_backend, simulator_class
@@ -95,6 +96,17 @@ class RunConfig:
     #: Cycle-exact backends share result-cache entries: the backend name
     #: is deliberately absent from the cache key.
     backend: str = "reference"
+
+    def __post_init__(self) -> None:
+        # Reject out-of-range knobs before any simulation state is built:
+        # a negative rate would otherwise surface deep in the traffic
+        # generator, and cycles < 1 as an empty "[ok]" run.
+        if not 0.0 <= self.injection_rate <= 1.0:
+            raise ConfigError(
+                f"injection_rate must be in [0, 1], got {self.injection_rate!r}"
+            )
+        if self.cycles < 1:
+            raise ConfigError(f"cycles must be >= 1, got {self.cycles!r}")
 
     def with_rate(self, rate: float) -> "RunConfig":
         return replace(self, injection_rate=rate)

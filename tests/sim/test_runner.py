@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.routing import MinimalFullyAdaptive, xy_routing
 from repro.sim import (
     RunConfig,
@@ -32,6 +33,29 @@ class TestRunPoint:
         b = run_point(mesh4, xy_routing(mesh4), cfg)
         assert a.stats.packets_injected == b.stats.packets_injected
         assert a.stats.latencies == b.stats.latencies
+
+
+class TestRunConfigRanges:
+    @pytest.mark.parametrize("rate", [0.0, 1.0])
+    def test_rate_bounds_inclusive(self, rate):
+        assert RunConfig(injection_rate=rate).injection_rate == rate
+
+    @pytest.mark.parametrize("rate", [-1.0, -1e-9, 1.5, float("nan")])
+    def test_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ConfigError, match="injection_rate must be in"):
+            RunConfig(injection_rate=rate)
+
+    def test_with_rate_rechecks(self):
+        with pytest.raises(ConfigError, match="injection_rate"):
+            RunConfig().with_rate(2.0)
+
+    @pytest.mark.parametrize("cycles", [0, -5])
+    def test_cycles_below_one_rejected(self, cycles):
+        with pytest.raises(ConfigError, match=f"cycles must be >= 1, got {cycles}"):
+            RunConfig(cycles=cycles)
+
+    def test_one_cycle_accepted(self):
+        assert RunConfig(cycles=1).cycles == 1
 
 
 class TestSweep:

@@ -118,6 +118,26 @@ class TestSimulate:
                  "--fail-link", "garbage"]
             )
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--rate", "-1"], "injection_rate must be in [0, 1], got -1.0"),
+            (["--rate", "1.5"], "injection_rate must be in [0, 1], got 1.5"),
+            (["--cycles", "-5"], "cycles must be >= 1, got -5"),
+            (["--cycles", "0"], "cycles must be >= 1, got 0"),
+            # The fault-injection path bypasses the engine; same check.
+            (["--rate", "-1", "--fail-link", "1,1-2,1"],
+             "injection_rate must be in [0, 1], got -1.0"),
+        ],
+    )
+    def test_out_of_range_knob_exits_two_with_one_line(self, capsys, flags, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "xy", "--mesh", "4x4", *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+
 
 class TestSimulateCache:
     def test_second_run_served_from_cache(self, capsys, tmp_path):
@@ -167,6 +187,11 @@ class TestSweepCommand:
     def test_unknown_routing_exits(self):
         with pytest.raises(SystemExit):
             main(["sweep", "not-a-routing", "--mesh", "4x4", "--rates", "0.02"])
+
+    def test_out_of_range_rate_exits_before_simulating(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "xy", "--mesh", "4x4", "--rates", "0.02,2"])
+        assert exc.value.code == "injection_rate must be in [0, 1], got 2.0"
 
 
 class TestRunEngineFlags:
