@@ -7,15 +7,12 @@ Commands
 ``run <experiment-id> [...]``
     Run one or more experiments (or ``all``) and print their reports.
 ``verify <design> [--mesh KxK[xK]] [--rule NAME]``
-    Verify a partition sequence in arrow notation on a concrete topology
-    (exit 0 deadlock-free, 1 cyclic, 2 bad input).
+    Verify a partition sequence in arrow notation on a concrete topology.
 ``design <vc-budget>``
     Run Algorithm 1 on a comma-separated VC budget and print the design,
     its turns and its verification verdict.
 ``simulate <design-name> [--mesh ...] [--rate ...] [--cycles ...]``
-    Simulate a catalog design (or arrow notation) under uniform traffic
-    (exit 0 delivered, 1 deadlocked, 2 bad input such as ``--rate``
-    outside [0, 1] or ``--cycles`` < 1).
+    Simulate a catalog design (or arrow notation) under uniform traffic.
     ``--fail-link 1,1-2,1 --fail-at 100`` injects runtime link failures
     (with rerouting over the degraded topology); ``--drops N`` injects
     transient flit corruption; ``--recover`` arms regressive recovery.
@@ -59,8 +56,7 @@ Commands
     Arbitrary-network existence check (:mod:`repro.core.arbitrary`):
     read a directed graph from JSON (``{"edges": [[src, dst], ...]}``),
     lay a channel-class design over it and report whether a
-    deadlock-free routing exists (exit 0 when it does, 1 when it does
-    not, 2 on bad input).
+    deadlock-free routing exists.
 ``runs list|show <id-prefix>|diff [--ledger DIR]``
     Query the run ledger (:mod:`repro.obs.ledger`): list every recorded
     invocation, show one record by run-id prefix, or report *drift* —
@@ -82,12 +78,18 @@ Observability flags (``run``/``simulate``/``sweep``/``fuzz``/``chaos``/
 strict JSONL; ``--ledger DIR`` appends the run to the provenance ledger
 ``repro runs`` queries.  ``fuzz`` and ``chaos`` print a progress line
 and beat a heartbeat file per batch; ``--quiet`` suppresses both.
+
+Exit codes mean the same on every command (see :func:`main`): 0 ok;
+1 a negative verdict or finding — a cyclic CDG, no deadlock-free
+routing, a deadlocked run, a lint finding at ``--fail-on``, a fuzz
+disagreement, a failed experiment, a chaos campaign that is not ok,
+ledger drift; 2 bad input, reported as one stderr line.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -96,24 +98,35 @@ from typing import Sequence
 from repro.analysis import format_turn_table
 from repro.cdg import verify_design
 from repro.core import PartitionSequence, catalog, extract_turns, partition_vc_budget
-from repro.errors import ConfigError, EbdaError, FaultError
+from repro.errors import EbdaError, FaultError, SimulationError
 from repro.topology import Mesh, NAMED_RULES
-from repro.topology.classes import rule_for_design
+from repro.topology.classes import ClassRule, rule_for_design
 
 
-def _parse_mesh(spec: str) -> Mesh:
+def _parse_mesh(spec: str, kind: type = Mesh):
+    """``"8x8"`` -> ``Mesh(8, 8)`` (or ``kind(8, 8)``, e.g. a Torus)."""
     try:
-        return Mesh(*(int(k) for k in spec.lower().split("x")))
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        raise SystemExit(f"bad mesh spec {spec!r} (use e.g. 8x8 or 4x4x4): {exc}")
+        return kind(*(int(k) for k in spec.lower().split("x")))
+    except ValueError as exc:  # int() and TopologyError alike
+        raise SystemExit(
+            f"bad {kind.__name__.lower()} spec {spec!r}"
+            f" (use e.g. 8x8 or 4x4x4): {exc}"
+        )
 
 
-def _resolve_design(text: str) -> tuple[PartitionSequence, str]:
+def _named_rule(name: str) -> ClassRule:
+    if name not in NAMED_RULES:
+        raise SystemExit(f"unknown rule {name!r}; known: {', '.join(NAMED_RULES)}")
+    return NAMED_RULES[name]
+
+
+def _resolve_design(text: str, validate: bool = True) -> tuple[PartitionSequence, str]:
     """A catalog name or arrow notation -> (design, suggested rule name)."""
     if text in catalog.NAMED_DESIGNS:
         return catalog.design(text), text
     try:
-        return PartitionSequence.parse(text).validate(), ""
+        design = PartitionSequence.parse(text)
+        return (design.validate() if validate else design), ""
     except EbdaError as exc:
         raise SystemExit(f"cannot parse design {text!r}: {exc}")
 
@@ -205,41 +218,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _verdict_verb(command):
-    """Exit 2 on bad input so that exit 1 means only a negative verdict.
-
-    Input errors are raised as ``SystemExit(message)``, which Python
-    reports as exit 1; a verdict verb prints the same one-line message to
-    stderr and exits 2 instead.
-    """
-
-    @functools.wraps(command)
-    def wrapped(args: argparse.Namespace) -> int:
-        try:
-            return command(args)
-        except SystemExit as exc:
-            if not isinstance(exc.code, str):
-                raise
-            print(exc.code, file=sys.stderr)
-            raise SystemExit(2) from None
-
-    return wrapped
-
-
-@_verdict_verb
 def cmd_verify(args: argparse.Namespace) -> int:
     design, suggested = _resolve_design(args.design)
     mesh = _parse_mesh(args.mesh)
-    if args.rule:
-        if args.rule not in NAMED_RULES:
-            raise SystemExit(
-                f"unknown rule {args.rule!r}; known: {', '.join(NAMED_RULES)}"
-            )
-        rule = NAMED_RULES[args.rule]
-    else:
-        rule = rule_for_design(suggested)
-    print(f"design: {design}")
+    rule = _named_rule(args.rule) if args.rule else rule_for_design(suggested)
     verdict = verify_design(design, mesh, rule)
+    if not verdict.wires:
+        # An empty CDG is vacuously acyclic; the verdict would say nothing.
+        name = next(n for n, r in NAMED_RULES.items() if r is rule)
+        raise SystemExit(
+            f"rule {name!r} instantiates no channel of design"
+            f" {args.design!r} on {mesh!r}"
+        )
+    print(f"design: {design}")
     print(f"on {mesh!r}: {verdict}")
     return 0 if verdict.acyclic else 1
 
@@ -285,115 +276,88 @@ def _parse_link(spec: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
         raise SystemExit(f"bad link spec {spec!r} (use e.g. 1,1-2,1): {exc}")
 
 
-@_verdict_verb
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.routing import TurnTableRouting
+    from repro.api import _ledger_point
     from repro.sim import (
+        EbdaDesignFactory,
         FaultEvent,
         FaultSchedule,
-        NetworkSimulator,
         RecoveryPolicy,
         RunConfig,
-        TrafficConfig,
-        TrafficGenerator,
+        SweepEngine,
+        resolve_backend,
     )
+    from repro.sim.backend import refusal
+    from repro.sim.runner import build_point
 
-    design, suggested = _resolve_design(args.design)
+    _, suggested = _resolve_design(args.design)
     mesh = _parse_mesh(args.mesh)
     rule = rule_for_design(suggested)
-    telemetry = bool(args.metrics_out or args.trace_out)
+    links = [_parse_link(spec) for spec in args.fail_link]
     try:
-        config = RunConfig(
-            cycles=args.cycles,
-            injection_rate=args.rate,
-            packet_length=args.length,
-            buffer_depth=args.buffers,
-            watchdog=500,
-            seed=args.seed,
-            backend=args.backend,
-        )
-    except ConfigError as exc:
-        raise SystemExit(str(exc)) from None
-
-    if (args.fail_link or args.drops or telemetry) and args.backend != "reference":
-        raise SystemExit(
-            f"--backend {args.backend} does not support faults or telemetry;"
-            " drop the flag (the reference engine handles these)"
-        )
-
-    if not (args.fail_link or args.drops or telemetry):
-        # Fault-free untelemetered point: run through the engine so
-        # --cache works (telemetry forces the direct path below — a
-        # metered point is uncacheable and needs the live collector).
-        from repro.sim import EbdaDesignFactory, SweepEngine
-
-        engine = _engine_from_args(args) or SweepEngine()
-        point = engine.run_point(mesh, EbdaDesignFactory(args.design), config, rule)
-        from repro.api import _ledger_point
-
-        _ledger_point(
-            mesh, EbdaDesignFactory(args.design), config, rule,
-            point.result, point.wall_time,
-        )
-        print(point.result.stats.summary(len(mesh.nodes)))
-        if point.cached:
-            print(f"(served from cache in {point.wall_time * 1000:.1f} ms)")
-        return 1 if point.result.deadlocked else 0
-
-    events = [
-        FaultEvent(args.fail_at, "link", link=_parse_link(spec))
-        for spec in args.fail_link
-    ]
-    events += [
-        FaultEvent(args.fail_at + 10 * i, "drop") for i in range(args.drops)
-    ]
+        events = [FaultEvent(args.fail_at, "link", link=link) for link in links]
+        events += [
+            FaultEvent(args.fail_at + 10 * i, "drop") for i in range(args.drops)
+        ]
+        recovery = RecoveryPolicy(max_retries=args.retries) if args.recover else None
+    except SimulationError as exc:
+        # The fault objects validate their knobs with SimulationError, which
+        # main() would otherwise report as a simulator bug.
+        raise SystemExit(f"bad fault flags: {exc}")
     faults = FaultSchedule(events, seed=args.seed) if events else None
-
-    def routing_factory(topo):
-        return TurnTableRouting(
-            topo, design, rule,
-            directions="progressive", fallback="escape",
-            label=suggested or "custom",
-        )
-
-    recovery = RecoveryPolicy(max_retries=args.retries) if args.recover else None
-    tracer = None
-    collector = None
-    if args.trace_out:
-        from repro.sim import Trace
-
-        tracer = Trace()
-    if args.metrics_out:
-        from repro.sim import MetricsCollector
-
-        collector = MetricsCollector(sample_every=args.sample_every)
-    routing = TurnTableRouting(mesh, design, rule, label=suggested or "custom")
-    sim = NetworkSimulator(
-        mesh, routing, rule, buffer_depth=args.buffers,
-        tracer=tracer, metrics=collector,
-        faults=faults, recovery=recovery,
-        routing_factory=routing_factory if faults is not None else None,
-    )
-    traffic = TrafficGenerator(
-        mesh,
-        TrafficConfig(
-            injection_rate=args.rate, packet_length=args.length, seed=args.seed
+    config = RunConfig(
+        cycles=args.cycles,
+        injection_rate=args.rate,
+        packet_length=args.length,
+        buffer_depth=args.buffers,
+        watchdog=500,
+        seed=args.seed,
+        faults=faults,
+        recovery=recovery,
+        routing_factory=(
+            EbdaDesignFactory(args.design, directions="progressive", fallback="escape")
+            if faults is not None
+            else None
         ),
+        metrics=bool(args.metrics_out),
+        sample_every=args.sample_every,
+        backend=args.backend,
     )
-    try:
-        stats = sim.run(args.cycles, traffic, drain=True)
-    except FaultError as exc:
-        raise SystemExit(f"fault schedule failed: {exc}")
-    print(stats.summary(len(mesh.nodes)))
-    if sim.last_reroute_verdict is not None:
-        print(f"rerouted design: {sim.last_reroute_verdict}")
-    if collector is not None:
-        n = collector.to_jsonl(args.metrics_out, stats=stats)
+    routing = EbdaDesignFactory(args.design)
+    engine = _engine_from_args(args) or SweepEngine()
+
+    built = None
+    if args.trace_out or faults is not None:
+        # The trace and the reroute verdict live on the simulator itself,
+        # so build the point here instead of handing it to the engine.
+        info = resolve_backend(config.backend)
+        if args.trace_out and not info.supports_tracer:
+            raise refusal(info, "event tracing (--trace-out)")
+        built = build_point(mesh, routing, config, rule)
+        if args.trace_out:
+            from repro.sim import Trace
+
+            built.simulator.tracer = Trace()
+        start = time.perf_counter()
+        result = built.run()
+        wall_time, cached = time.perf_counter() - start, False
+    else:
+        point = engine.run_point(mesh, routing, config, rule)
+        result, wall_time, cached = point.result, point.wall_time, point.cached
+    _ledger_point(mesh, routing, config, rule, result, wall_time)
+
+    print(result.stats.summary(len(mesh.nodes)))
+    if cached:
+        print(f"(served from cache in {wall_time * 1000:.1f} ms)")
+    if built is not None and built.simulator.last_reroute_verdict is not None:
+        print(f"rerouted design: {built.simulator.last_reroute_verdict}")
+    if args.metrics_out:
+        n = result.metrics.to_jsonl(args.metrics_out, stats=result.stats)
         print(f"metrics: {n} records -> {args.metrics_out} (try: repro inspect)")
-    if tracer is not None:
-        n = tracer.to_jsonl(args.trace_out)
+    if args.trace_out:
+        n = built.simulator.tracer.to_jsonl(args.trace_out)
         print(f"trace: {n} records -> {args.trace_out}")
-    return 1 if stats.deadlocked else 0
+    return 1 if result.deadlocked else 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -429,24 +393,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     engine = _engine_from_args(args) or SweepEngine()
     from repro.sim import check_run_config, resolve_backend
 
-    try:
-        config = RunConfig(
-            cycles=args.cycles,
-            packet_length=args.length,
-            buffer_depth=args.buffers,
-            pattern=args.pattern,
-            selection=args.selection,
-            watchdog=max(500, 2 * args.cycles),
-            seed=args.seed,
-            metrics=bool(args.metrics_out),
-            sample_every=args.sample_every,
-            backend=args.backend,
-        )
-        for rate in rates:
-            config.with_rate(rate)  # range-checks every rate up front
-        check_run_config(resolve_backend(args.backend), config)
-    except ConfigError as exc:
-        raise SystemExit(str(exc))
+    config = RunConfig(
+        cycles=args.cycles,
+        packet_length=args.length,
+        buffer_depth=args.buffers,
+        pattern=args.pattern,
+        selection=args.selection,
+        watchdog=max(500, 2 * args.cycles),
+        seed=args.seed,
+        metrics=bool(args.metrics_out),
+        sample_every=args.sample_every,
+        backend=args.backend,
+    )
+    for rate in rates:
+        config.with_rate(rate)  # range-checks every rate up front
+    check_run_config(resolve_backend(args.backend), config)
     report = engine.sweep(mesh, args.routing, rates, config)
     print(compare_table({args.routing: report.results}))
     sat = saturation_rate(report.results)
@@ -502,10 +463,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         render_summary,
     )
 
-    try:
-        records = load_metrics(args.file)
-    except EbdaError as exc:
-        raise SystemExit(str(exc))
+    records = load_metrics(args.file)
     everything = not (args.summary or args.heatmap or args.forensics)
     sections = []
     if args.summary or everything:
@@ -611,16 +569,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.sim.parallel import SweepEngine
 
     if args.load:
-        try:
-            print(render_survival(args.load))
-        except EbdaError as exc:
-            raise SystemExit(str(exc))
+        print(render_survival(args.load))
         return 0
 
-    try:
-        mesh = tuple(int(k) for k in args.mesh.lower().split("x"))
-    except ValueError:
-        raise SystemExit(f"bad mesh spec {args.mesh!r} (use e.g. 4x4)")
+    mesh = _parse_mesh(args.mesh).shape
     try:
         config = CampaignConfig(
             trials=args.trials,
@@ -634,8 +586,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             buffer_depth=args.buffers,
             watchdog=args.watchdog,
         )
-    except EbdaError as exc:
-        raise SystemExit(str(exc))
+    except SimulationError as exc:
+        # CampaignConfig validates its knobs with SimulationError, which
+        # main() would otherwise report as a simulator bug.
+        raise SystemExit(f"bad campaign: {exc}")
 
     engine = _engine_from_args(args) or SweepEngine()
     campaign = ChaosCampaign(
@@ -708,45 +662,24 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
     select = tuple(args.select.split(",")) if args.select else None
     ignore = tuple(args.ignore.split(",")) if args.ignore else ()
-    try:
-        analyzer = Analyzer(select=select, ignore=ignore)
-    except EbdaError as exc:
-        raise SystemExit(str(exc))
-
-    rule = None
-    if args.rule:
-        if args.rule not in NAMED_RULES:
-            raise SystemExit(
-                f"unknown rule {args.rule!r}; known: {', '.join(NAMED_RULES)}"
-            )
-        rule = NAMED_RULES[args.rule]
+    analyzer = Analyzer(select=select, ignore=ignore)
+    rule = _named_rule(args.rule) if args.rule else None
 
     def topology_for(design: PartitionSequence):
         if args.no_topology:
             return None
         n = len({ch.dim for ch in design.all_channels})
         if args.torus:
-            try:
-                return Torus(*(int(k) for k in args.torus.lower().split("x")))
-            except Exception as exc:  # noqa: BLE001 - CLI boundary
-                raise SystemExit(f"bad torus spec {args.torus!r}: {exc}")
+            return _parse_mesh(args.torus, Torus)
         if args.mesh:
             return _parse_mesh(args.mesh)
         return Mesh(*((4,) * max(1, n)))
 
-    def resolve_unvalidated(text: str) -> tuple[PartitionSequence, str]:
-        # Unlike _resolve_design, skip .validate(): surfacing theorem
-        # violations as diagnostics is the linter's entire purpose.
-        if text in catalog.NAMED_DESIGNS:
-            return catalog.design(text), text
-        try:
-            return PartitionSequence.parse(text), ""
-        except EbdaError as exc:
-            raise SystemExit(f"cannot parse design {text!r}: {exc}")
-
     reports = []
     for name in names:
-        design, suggested = resolve_unvalidated(name)
+        # Unvalidated: surfacing theorem violations as diagnostics is the
+        # linter's entire purpose.
+        design, suggested = _resolve_design(name, validate=False)
         design_analyzer = analyzer
         if name in native_lint and not (args.torus or args.mesh or args.no_topology):
             make_topology, extra_ignore = native_lint[name]
@@ -773,10 +706,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(f"baseline with {n} fingerprint(s) written to {args.write_baseline}")
         return 0
     if args.baseline:
-        try:
-            reports = apply_baseline(reports, load_baseline(args.baseline))
-        except EbdaError as exc:
-            raise SystemExit(str(exc))
+        reports = apply_baseline(reports, load_baseline(args.baseline))
 
     if args.format == "json":
         rendered = render_json(reports)
@@ -852,10 +782,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if args.all or not names:
         names = sorted(SYMBOLIC_FAMILIES)
     start = time.perf_counter()
-    try:
-        reports = certify_all(tuple(names))
-    except EbdaError as exc:
-        raise SystemExit(str(exc))
+    reports = certify_all(tuple(names))
 
     failures = 0
     certs = [c for rep in reports for c in rep.certificates]
@@ -869,10 +796,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
     gate = None
     if args.gate > 0:
-        try:
-            gate = differential_gate(tuple(names), points=args.gate, seed=args.seed)
-        except EbdaError as exc:
-            raise SystemExit(str(exc))
+        gate = differential_gate(tuple(names), points=args.gate, seed=args.seed)
         failures += len(gate.disagreements)
 
     if args.format == "json":
@@ -986,7 +910,6 @@ def _ledger_certify(
     )
 
 
-@_verdict_verb
 def cmd_exists(args: argparse.Namespace) -> int:
     import json
 
@@ -994,10 +917,7 @@ def cmd_exists(args: argparse.Namespace) -> int:
     from repro.core.arbitrary import verdict_from_turns
     from repro.topology.irregular import GraphTopology
 
-    try:
-        spec = jsonio.read_json(args.graph, "graph")
-    except EbdaError as exc:
-        raise SystemExit(str(exc))
+    spec = jsonio.read_json(args.graph, "graph")
     if "edges" not in spec:
         raise SystemExit(
             'graph JSON must be an object with an "edges" list;'
@@ -1029,8 +949,6 @@ def cmd_exists(args: argparse.Namespace) -> int:
         topology = GraphTopology(edges, nodes)
         sequence = PartitionSequence.parse(design_text)
         turnset = extract_turns(sequence, validate=False)
-    except EbdaError as exc:
-        raise SystemExit(str(exc))
     except TypeError:
         raise SystemExit("node labels must be numbers, strings or lists of them")
 
@@ -1059,10 +977,7 @@ def cmd_runs(args: argparse.Namespace) -> int:
     from repro.obs import RunLedger
 
     ledger = RunLedger(args.ledger or None)
-    try:
-        records = ledger.records()
-    except EbdaError as exc:
-        raise SystemExit(str(exc))
+    records = ledger.records()
 
     if args.action == "list":
         if not records:
@@ -1111,8 +1026,6 @@ def cmd_runs(args: argparse.Namespace) -> int:
 
 
 def cmd_top(args: argparse.Namespace) -> int:
-    import time
-
     from repro.obs import render_top
 
     directory = args.dir or None
@@ -1586,13 +1499,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Flags naming a file a command writes: its directory must already exist
+#: (directory flags such as ``--cert-dir`` or ``--ledger`` are created).
+_OUTPUT_FLAGS = (
+    "output", "report", "metrics_out", "trace_out", "spans_out", "out", "write_baseline"
+)
+
+
+def _check_output_paths(args: argparse.Namespace) -> None:
+    for dest in _OUTPUT_FLAGS:
+        parent = os.path.dirname(getattr(args, dest, ""))
+        if parent and not os.path.isdir(parent):
+            flag = "--" + dest.replace("_", "-")
+            raise SystemExit(f"{flag}: directory {parent!r} does not exist")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; bad input ends here as one stderr line and exit 2.
+
+    Bad input is a string ``SystemExit``, an ``EbdaError`` or an
+    ``OSError`` on a path.  A ``SimulationError`` that is not a
+    ``FaultError`` is a simulator bug and keeps its traceback.
+    """
     args = build_parser().parse_args(argv)
     try:
+        _check_output_paths(args)
         with _obs_scope(args):
             return args.func(args)
     except BrokenPipeError:  # e.g. `repro list | head`
         return 0
+    except SystemExit as exc:
+        if not isinstance(exc.code, str):
+            raise
+        message = exc.code
+    except EbdaError as exc:
+        if isinstance(exc, SimulationError) and not isinstance(exc, FaultError):
+            raise
+        message = str(exc)
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        message = f"{exc.filename}: {exc.strerror}"
+    print(message, file=sys.stderr)
+    raise SystemExit(2)
 
 
 if __name__ == "__main__":

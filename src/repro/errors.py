@@ -45,7 +45,8 @@ class ConfigError(EbdaError, ValueError):
 
     Raised eagerly — before any simulation state is built — when a
     :class:`~repro.sim.runner.RunConfig` holds an out-of-range knob
-    (``injection_rate`` outside [0, 1], ``cycles`` < 1), names an unknown
+    (``injection_rate`` outside [0, 1]; ``cycles``, ``packet_length``,
+    ``buffer_depth`` or ``sample_every`` < 1), names an unknown
     simulation backend or requests a feature the chosen backend does not
     implement (e.g. ``metrics=`` on the vectorized backend).  The message
     always names the offending field.

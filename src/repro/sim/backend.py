@@ -34,6 +34,7 @@ __all__ = [
     "BackendInfo",
     "backends",
     "check_run_config",
+    "refusal",
     "resolve_backend",
     "simulator_class",
 ]
@@ -116,6 +117,15 @@ def simulator_class(name: str):
     return NetworkSimulator
 
 
+def refusal(info: BackendInfo, feature: str) -> ConfigError:
+    """The :class:`~repro.errors.ConfigError` refusing ``feature`` on a backend."""
+    return ConfigError(
+        f"backend {info.name!r} does not support {feature};"
+        " use RunConfig(backend='reference') for this configuration"
+        " (repro.sim.backends() lists capabilities)"
+    )
+
+
 def check_run_config(info: BackendInfo, config) -> None:
     """Reject a :class:`~repro.sim.runner.RunConfig` the backend cannot run.
 
@@ -124,28 +134,20 @@ def check_run_config(info: BackendInfo, config) -> None:
     here may still fail inside the simulator for reasons independent of
     the backend (bad topology, invalid rates, ...).
     """
-
-    def refuse(feature: str) -> ConfigError:
-        return ConfigError(
-            f"backend {info.name!r} does not support {feature};"
-            " use RunConfig(backend='reference') for this configuration"
-            " (repro.sim.backends() lists capabilities)"
-        )
-
     if not info.supports_metrics and config.metrics not in (None, False):
-        raise refuse("metrics= telemetry")
+        raise refusal(info, "metrics= telemetry")
     if not info.supports_faults and config.faults is not None:
-        raise refuse("fault injection (faults=)")
+        raise refusal(info, "fault injection (faults=)")
     if not info.supports_recovery and config.recovery is not None:
-        raise refuse("deadlock/fault recovery (recovery=)")
+        raise refusal(info, "deadlock/fault recovery (recovery=)")
     selection = config.selection
     if not callable(selection):
         if selection not in info.supported_selections:
-            raise refuse(f"selection={selection!r}")
+            raise refusal(info, f"selection={selection!r}")
     elif "first" in info.supported_selections and len(info.supported_selections) == 1:
         # A callable policy is only acceptable when it IS the one policy
         # the backend implements.
         from repro.sim.specs import resolve_selection
 
         if resolve_selection(selection) is not first_candidate:
-            raise refuse("custom selection policies")
+            raise refusal(info, "custom selection policies")

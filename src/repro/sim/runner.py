@@ -39,9 +39,11 @@ if TYPE_CHECKING:
     from repro.sim.parallel import SweepEngine
 
 __all__ = [
+    "BuiltPoint",
     "RoutingFactory",
     "RunConfig",
     "RunResult",
+    "build_point",
     "compare_table",
     "run_point",
     "saturation_rate",
@@ -99,14 +101,17 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         # Reject out-of-range knobs before any simulation state is built:
-        # a negative rate would otherwise surface deep in the traffic
-        # generator, and cycles < 1 as an empty "[ok]" run.
+        # a negative rate or packet length would otherwise surface deep in
+        # the traffic generator as a simulator error, and cycles < 1 as an
+        # empty "[ok]" run.
         if not 0.0 <= self.injection_rate <= 1.0:
             raise ConfigError(
                 f"injection_rate must be in [0, 1], got {self.injection_rate!r}"
             )
-        if self.cycles < 1:
-            raise ConfigError(f"cycles must be >= 1, got {self.cycles!r}")
+        for name in ("cycles", "packet_length", "buffer_depth", "sample_every"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value!r}")
 
     def with_rate(self, rate: float) -> "RunConfig":
         return replace(self, injection_rate=rate)
@@ -145,18 +150,42 @@ class RunResult:
         )
 
 
-def run_point(
+@dataclass
+class BuiltPoint:
+    """One simulation point built by :func:`build_point` and not yet run.
+
+    ``simulator`` is live: a caller may attach a
+    :class:`~repro.sim.trace.Trace` before :meth:`run`, or read
+    ``last_reroute_verdict`` after it.
+    """
+
+    routing: RoutingFunction
+    config: RunConfig
+    simulator: "object"
+    traffic: "object"
+    n_nodes: int
+    metrics: "object | None" = None
+
+    def run(self) -> RunResult:
+        """Simulate the point (drained per ``config.drain``)."""
+        stats = self.simulator.run(
+            self.config.cycles, self.traffic, drain=self.config.drain
+        )
+        if self.metrics is not None:
+            self.metrics.finalize()
+        return RunResult(
+            self.routing.name, self.config, stats, self.n_nodes,
+            metrics=self.metrics,
+        )
+
+
+def build_point(
     topology: Topology,
     routing: RoutingFunction | RoutingFactory | str,
     config: RunConfig,
     rule: ClassRule = no_classes,
-) -> RunResult:
-    """Run one simulation point.
-
-    ``routing`` may be a ready :class:`RoutingFunction`, a factory, or a
-    named routing spec (``"xy"``, any catalog design name, arrow
-    notation) resolved via :mod:`repro.sim.specs`.
-    """
+) -> BuiltPoint:
+    """The simulator and traffic :func:`run_point` runs, built but not run."""
     if not isinstance(routing, RoutingFunction):
         routing = resolve_routing_factory(routing)(topology)
     backend = resolve_backend(config.backend)
@@ -204,12 +233,24 @@ def run_point(
                 seed=config.seed + 7919,
             ),
         )
-    stats = sim.run(config.cycles, traffic, drain=config.drain)
-    if collector is not None:
-        collector.finalize()
-    return RunResult(
-        routing.name, config, stats, len(topology.nodes), metrics=collector
+    return BuiltPoint(
+        routing, config, sim, traffic, len(topology.nodes), metrics=collector
     )
+
+
+def run_point(
+    topology: Topology,
+    routing: RoutingFunction | RoutingFactory | str,
+    config: RunConfig,
+    rule: ClassRule = no_classes,
+) -> RunResult:
+    """Run one simulation point.
+
+    ``routing`` may be a ready :class:`RoutingFunction`, a factory, or a
+    named routing spec (``"xy"``, any catalog design name, arrow
+    notation) resolved via :mod:`repro.sim.specs`.
+    """
+    return build_point(topology, routing, config, rule).run()
 
 
 def sweep_rates(

@@ -105,7 +105,7 @@ class TestLedgerFlag:
             text=True,
             env={**os.environ, "PYTHONPATH": src},
         )
-        assert proc.returncode == 1
+        assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert f"{ledger / 'ledger.jsonl'}:2:" in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1

@@ -1,6 +1,8 @@
 """Unit tests for the command-line interface."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 
@@ -188,10 +190,13 @@ class TestSweepCommand:
         with pytest.raises(SystemExit):
             main(["sweep", "not-a-routing", "--mesh", "4x4", "--rates", "0.02"])
 
-    def test_out_of_range_rate_exits_before_simulating(self):
+    def test_out_of_range_rate_exits_before_simulating(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "xy", "--mesh", "4x4", "--rates", "0.02,2"])
-        assert exc.value.code == "injection_rate must be in [0, 1], got 2.0"
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "injection_rate must be in [0, 1], got 2.0\n"
+        assert captured.out == ""
 
 
 class TestRunEngineFlags:
@@ -322,9 +327,11 @@ class TestLint:
         payload = json.loads(capsys.readouterr().out)
         assert payload["designs"][0]["rules_run"] == ["EBDA001", "EBDA011"]
 
-    def test_unknown_select_exits(self):
-        with pytest.raises(SystemExit, match="unknown rule id"):
+    def test_unknown_select_exits(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["lint", "xy", "--select", "EBDA999"])
+        assert exc.value.code == 2
+        assert "unknown rule id" in capsys.readouterr().err
 
     def test_sarif_output_to_file(self, capsys, tmp_path):
         import json
@@ -344,9 +351,11 @@ class TestLint:
         assert main(["lint", bad, "--write-baseline", str(baseline)]) == 0
         assert main(["lint", bad, "--baseline", str(baseline)]) == 0
 
-    def test_missing_baseline_exits(self, tmp_path):
-        with pytest.raises(SystemExit, match="not found"):
+    def test_missing_baseline_exits(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
             main(["lint", "xy", "--baseline", str(tmp_path / "nope.json")])
+        assert exc.value.code == 2
+        assert "not found" in capsys.readouterr().err
 
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
@@ -354,13 +363,17 @@ class TestLint:
         assert "EBDA001" in out and "EBDA011" in out
         assert "Theorem 1" in out
 
-    def test_nothing_to_lint_exits(self):
-        with pytest.raises(SystemExit, match="nothing to lint"):
+    def test_nothing_to_lint_exits(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["lint"])
+        assert exc.value.code == 2
+        assert "nothing to lint" in capsys.readouterr().err
 
-    def test_unparseable_design_exits(self):
-        with pytest.raises(SystemExit, match="cannot parse"):
+    def test_unparseable_design_exits(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["lint", "garbage spec"])
+        assert exc.value.code == 2
+        assert "cannot parse" in capsys.readouterr().err
 
     def test_full_adaptive_claim_arms_ebda009(self, capsys):
         assert main(["lint", "X+ X- Y- -> Y+", "--full-adaptive"]) == 1
@@ -550,3 +563,369 @@ class TestFuzzInstantiations:
         out = capsys.readouterr().out
         assert "instantiation oracle: 30 points" in out
         assert "all symbolic verdicts confirmed" in out
+
+
+def _run(argv):
+    """``main(argv)`` -> (exit code, stdout, stderr), SystemExit included."""
+    import contextlib
+    import io
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_bad_input(argv):
+    code, out, err = _run(argv)
+    assert code == 2, (argv, code, err)
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert out == ""
+
+
+#: One row per bad input, every verb: each exits 2 with one stderr line and
+#: nothing on stdout.  ``{tmp}`` holds ``garbage.jsonl`` (not JSON), an
+#: empty directory ``empty/`` and a ledger whose only line is corrupt;
+#: ``{tmp}/missing/`` does not exist.
+BAD_INPUT = {
+    "verify-mesh": ["verify", "xy", "--mesh", "4xq"],
+    "verify-design": ["verify", "X+ X- Y+ Y-", "--mesh", "4x4"],
+    "verify-unknown-rule": ["verify", "xy", "--mesh", "4x4", "--rule", "nope"],
+    "verify-rule-instantiates-nothing":
+        ["verify", "xy", "--mesh", "4x4", "--rule", "dragonfly"],
+    "design-budget": ["design", "abc"],
+    "design-zero-budget": ["design", "0,2"],
+    "logic-mesh": ["logic", "xy", "--mesh", "4x"],
+    "logic-3d": ["logic", "xy", "--mesh", "3x3x3"],
+    "run-unknown": ["run", "Fig99"],
+    "run-jobs": ["run", "Fig4", "--jobs", "0"],
+    "simulate-design": ["simulate", "garbage spec", "--mesh", "4x4"],
+    "simulate-mesh": ["simulate", "xy", "--mesh", "huge"],
+    "simulate-length": ["simulate", "xy", "--mesh", "4x4", "--length", "0"],
+    "simulate-buffers": ["simulate", "xy", "--mesh", "4x4", "--buffers", "0"],
+    "simulate-sample-every": [
+        "simulate", "xy", "--mesh", "4x4", "--sample-every", "0",
+        "--metrics-out", "{tmp}/m.jsonl",
+    ],
+    "simulate-fail-link": ["simulate", "xy", "--mesh", "4x4", "--fail-link", "1,1"],
+    "simulate-fail-at": [
+        "simulate", "xy", "--mesh", "4x4", "--drops", "1", "--fail-at", "-3",
+    ],
+    "simulate-retries": [
+        "simulate", "xy", "--mesh", "4x4", "--recover", "--retries", "0",
+    ],
+    "simulate-jobs": ["simulate", "xy", "--mesh", "4x4", "--jobs", "0"],
+    "simulate-vector-trace": [
+        "simulate", "xy", "--mesh", "4x4", "--backend", "vector",
+        "--trace-out", "{tmp}/t.jsonl",
+    ],
+    "simulate-vector-faults": [
+        "simulate", "xy", "--mesh", "4x4", "--backend", "vector", "--drops", "1",
+    ],
+    "sweep-rates": ["sweep", "xy", "--mesh", "4x4", "--rates", "abc"],
+    "sweep-rate-range": ["sweep", "xy", "--mesh", "4x4", "--rates", "2"],
+    "sweep-no-rates": ["sweep", "xy", "--mesh", "4x4", "--rates", ","],
+    "sweep-routing": ["sweep", "not-a-routing", "--mesh", "4x4"],
+    "sweep-pattern": ["sweep", "xy", "--mesh", "4x4", "--pattern", "nope"],
+    "sweep-selection": ["sweep", "xy", "--mesh", "4x4", "--selection", "nope"],
+    "sweep-mesh": ["sweep", "xy", "--mesh", "4x4x"],
+    "inspect-missing": ["inspect", "{tmp}/absent.jsonl"],
+    "inspect-garbage": ["inspect", "{tmp}/garbage.jsonl"],
+    "lint-design": ["lint", "nosuch-design"],
+    "lint-nothing": ["lint"],
+    "lint-mesh": ["lint", "xy", "--mesh", "q"],
+    "lint-torus": ["lint", "xy", "--torus", "4xq"],
+    "lint-select": ["lint", "xy", "--select", "EBDA999"],
+    "lint-rule": ["lint", "xy", "--rule", "nope"],
+    "lint-baseline": ["lint", "xy", "--baseline", "{tmp}/absent.json"],
+    "certify-family": ["certify", "no-such-family"],
+    "exists-missing": ["exists", "{tmp}/absent.json"],
+    "exists-garbage": ["exists", "{tmp}/garbage.jsonl"],
+    "chaos-mesh": ["chaos", "--mesh", "huge"],
+    "chaos-trials": ["chaos", "--trials", "0"],
+    "chaos-workloads": ["chaos", "--workloads", "nope"],
+    "chaos-policies": ["chaos", "--policies", "nope"],
+    "chaos-load": ["chaos", "--load", "{tmp}/garbage.jsonl"],
+    "fuzz-families": ["fuzz", "--runs", "0", "--families", "nope"],
+    "fuzz-replay-empty": ["fuzz", "--runs", "0", "--replay", "{tmp}/empty"],
+    "runs-corrupt-ledger": ["runs", "list", "--ledger", "{tmp}/ledger"],
+    "runs-show-unknown": ["runs", "show", "ffff", "--ledger", "{tmp}/empty"],
+    # An output file under a missing directory is refused before any work.
+    "lint-output": ["lint", "xy", "--output", "{tmp}/missing/x"],
+    "lint-write-baseline": ["lint", "xy", "--write-baseline", "{tmp}/missing/x"],
+    "sweep-report": ["sweep", "xy", "--mesh", "4x4", "--report", "{tmp}/missing/x"],
+    "sweep-metrics-out":
+        ["sweep", "xy", "--mesh", "4x4", "--metrics-out", "{tmp}/missing/x"],
+    "sweep-spans-out":
+        ["sweep", "xy", "--mesh", "4x4", "--spans-out", "{tmp}/missing/x"],
+    "simulate-metrics-out":
+        ["simulate", "xy", "--mesh", "4x4", "--metrics-out", "{tmp}/missing/x"],
+    "simulate-trace-out":
+        ["simulate", "xy", "--mesh", "4x4", "--trace-out", "{tmp}/missing/x"],
+    "fuzz-report": ["fuzz", "--runs", "1", "--report", "{tmp}/missing/x"],
+    "chaos-out": ["chaos", "--out", "{tmp}/missing/x"],
+    "certify-out": ["certify", "alg1-mesh", "--out", "{tmp}/missing/x"],
+}
+
+
+class TestExitCodeContract:
+    """0 ok, 1 negative verdict or finding, 2 bad input — on every verb."""
+
+    @pytest.fixture
+    def tmp(self, tmp_path):
+        (tmp_path / "garbage.jsonl").write_text("not json\n")
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "ledger").mkdir()
+        (tmp_path / "ledger" / "ledger.jsonl").write_text("[]\n")
+        return str(tmp_path)
+
+    @pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+    def test_bad_input_exits_two_with_one_line(self, tmp, argv):
+        _assert_bad_input([a.format(tmp=tmp) for a in argv])
+
+    def test_verify_names_the_rule_and_design(self):
+        code, _, err = _run(["verify", "xy", "--mesh", "4x4", "--rule", "dragonfly"])
+        assert code == 2
+        assert err == (
+            "rule 'dragonfly' instantiates no channel of design 'xy' on Mesh(4, 4)\n"
+        )
+
+    def test_shape_flags_share_one_message(self):
+        messages = [
+            _run(argv)[2]
+            for argv in (
+                ["verify", "xy", "--mesh", "4xq"],
+                ["chaos", "--mesh", "4xq"],
+                ["lint", "xy", "--torus", "4xq"],
+            )
+        ]
+        suffix = " spec '4xq' (use e.g. 8x8 or 4x4x4): invalid literal for int()"
+        assert messages[0].startswith("bad mesh" + suffix)
+        assert messages[1].startswith("bad mesh" + suffix)
+        assert messages[2].startswith("bad torus" + suffix)
+
+    def test_simulate_deadlock_exits_one(self, monkeypatch):
+        from repro.sim.runner import BuiltPoint
+
+        original = BuiltPoint.run
+
+        def deadlocking(self):
+            result = original(self)
+            result.stats.deadlocked = True
+            return result
+
+        monkeypatch.setattr(BuiltPoint, "run", deadlocking)
+        code, out, _ = _run(["simulate", "xy", "--mesh", "4x4", "--cycles", "50"])
+        assert code == 1
+        assert out.startswith("[DEADLOCK]")
+
+    def test_failed_experiment_exits_one(self, monkeypatch):
+        from repro.experiments import ALL_EXPERIMENTS
+        from repro.experiments.base import ExperimentResult, check_true
+
+        def broken():
+            return ExperimentResult(
+                "Broken", "always fails", "", {}, (check_true("holds", False),)
+            )
+
+        monkeypatch.setitem(ALL_EXPERIMENTS, "Broken", broken)
+        code, out, err = _run(["run", "Broken"])
+        assert code == 1
+        assert "[FAIL]" in out and "1 experiment(s) FAILED" in err
+
+    def test_fuzz_disagreement_exits_one(self, monkeypatch):
+        import repro.fuzz
+
+        monkeypatch.setattr(
+            repro.fuzz, "self_check", lambda profile: (False, "alarm missed")
+        )
+        code, out, _ = _run(["fuzz", "--runs", "0", "--self-check"])
+        assert code == 1
+        assert "alarm missed" in out
+
+    def test_rejected_certificate_exits_one(self, monkeypatch):
+        import repro.analyze
+        from repro.analyze.certcheck import CheckResult
+
+        monkeypatch.setattr(
+            repro.analyze, "check_certificates",
+            lambda certs: [CheckResult("alg1-mesh", "EBDA001", False, ("forged",))],
+        )
+        code, out, _ = _run(["certify", "alg1-mesh"])
+        assert code == 1
+        assert "REJECTED (forged)" in out
+
+    def test_ledger_drift_exits_one(self, tmp_path):
+        from repro.obs import set_ledger
+        from repro.obs.ledger import record_run
+
+        previous = set_ledger(str(tmp_path))
+        try:
+            record_run("sweep", spec="s", payload={"delivered": 1})
+            record_run("sweep", spec="s", payload={"delivered": 2})
+        finally:
+            set_ledger(previous)
+        code, out, _ = _run(["runs", "diff", "--ledger", str(tmp_path)])
+        assert code == 1
+        assert out.startswith("DRIFT sweep spec=s")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lint", "nosuch-design"],
+            ["sweep", "xy", "--mesh", "4x4", "--rates", "2"],
+            ["lint", "xy", "--output", "{tmp}/missing/x"],
+        ],
+        ids=["lint-design", "sweep-rates", "lint-output"],
+    )
+    def test_installed_entry_point(self, tmp, argv):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *(a.format(tmp=tmp) for a in argv)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stdout == ""
+
+
+_GOOD_DIM = st.integers(2, 4).map(str)
+_BAD_DIM = st.sampled_from(["", "0", "1", "-2", "q", "2.5", "4 4", "0x"])
+_GOOD_RATE = st.sampled_from(["0.01", "0.05", "1"])
+_BAD_RATE = st.sampled_from(["abc", "-0.1", "1.5", "nan", "inf", "0.1.2", "1e3"])
+_GOOD_COORD = st.integers(0, 2).map(str)
+_BAD_COORD = st.sampled_from(["", "a", "1.5", "?", " ", "-1"])
+_GOOD_VC = st.integers(1, 3).map(str)
+_BAD_VC = st.sampled_from(["", "0", "-1", "abc", "1.5"])
+
+
+def _with_one_bad(good, bad, sep, max_good=2):
+    """``sep``-joined tokens, at least one of them drawn from ``bad``."""
+    return st.builds(
+        lambda before, b, after: sep.join([*before, b, *after]),
+        st.lists(good, max_size=max_good),
+        bad,
+        st.lists(good, max_size=max_good),
+    )
+
+
+class TestMalformedFlagProperty:
+    """Malformed shape, rate, link and budget strings: always exit 2, one line.
+
+    Values go in as ``--flag=value`` (or after ``--``) so that a leading
+    ``-`` reaches the verb instead of argparse's option parser.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(spec=_with_one_bad(_GOOD_DIM, _BAD_DIM, "x"))
+    def test_mesh(self, spec):
+        _assert_bad_input(["verify", "xy", f"--mesh={spec}"])
+
+    @settings(max_examples=25, deadline=None)
+    @given(spec=_with_one_bad(_GOOD_RATE, _BAD_RATE, ","))
+    def test_rates(self, spec):
+        _assert_bad_input(["sweep", "xy", "--mesh", "3x3", f"--rates={spec}"])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        spec=st.one_of(
+            # a bad coordinate on either end
+            st.builds(
+                lambda u, v: f"{u}-{v}",
+                _with_one_bad(_GOOD_COORD, _BAD_COORD, ",", max_good=1),
+                st.lists(_GOOD_COORD, min_size=1, max_size=2).map(",".join),
+            ),
+            st.builds(
+                lambda u, v: f"{u}-{v}",
+                st.lists(_GOOD_COORD, min_size=1, max_size=2).map(",".join),
+                _with_one_bad(_GOOD_COORD, _BAD_COORD, ",", max_good=1),
+            ),
+            # a missing or doubled separator
+            st.lists(_GOOD_COORD, min_size=1, max_size=4).map(",".join),
+            st.lists(_GOOD_COORD, min_size=3, max_size=3).map("-".join),
+        )
+    )
+    def test_fail_link(self, spec):
+        _assert_bad_input(
+            ["simulate", "xy", "--mesh", "3x3", "--cycles", "5", f"--fail-link={spec}"]
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(spec=_with_one_bad(_GOOD_VC, _BAD_VC, ","))
+    def test_budget(self, spec):
+        _assert_bad_input(["design", "--", spec])
+
+
+class TestSimulateDeterminism:
+    """Observing a run never changes it; every flag path is ``run_point``."""
+
+    ARGV = ["simulate", "west-first", "--mesh", "4x4", "--rate", "0.1",
+            "--cycles", "300", "--no-cache"]
+    LINE = "[ok] cycles=312 injected=461 delivered=461 avg_lat=8.8 thr=0.3694" \
+        " flits/node/cycle"
+
+    def test_telemetry_flags_do_not_change_the_run(self, tmp_path):
+        from repro.obs import set_ledger
+
+        previous = set_ledger(None)
+        try:
+            for extra in (
+                [],
+                ["--metrics-out", str(tmp_path / "m.jsonl")],
+                ["--trace-out", str(tmp_path / "t.jsonl")],
+                ["--ledger", str(tmp_path / "ledger")],
+            ):
+                code, out, _ = _run(self.ARGV + extra)
+                assert code == 0
+                assert out.splitlines()[0] == self.LINE, extra
+        finally:
+            set_ledger(previous)
+
+    def test_fault_flags_equal_run_point(self):
+        from repro.sim import (
+            EbdaDesignFactory,
+            FaultEvent,
+            FaultSchedule,
+            RecoveryPolicy,
+            RunConfig,
+            run_point,
+        )
+        from repro.topology import Mesh
+
+        code, out, _ = _run(
+            ["simulate", "negative-first", "--mesh", "4x4", "--cycles", "200",
+             "--rate", "0.05", "--fail-link", "1,1-2,1", "--fail-at", "50",
+             "--drops", "1", "--recover"]
+        )
+        assert code == 0
+        config = RunConfig(
+            cycles=200,
+            injection_rate=0.05,
+            watchdog=500,
+            seed=1,
+            faults=FaultSchedule(
+                [FaultEvent(50, "link", link=((1, 1), (2, 1))), FaultEvent(50, "drop")],
+                seed=1,
+            ),
+            recovery=RecoveryPolicy(max_retries=8),
+            routing_factory=EbdaDesignFactory(
+                "negative-first", directions="progressive", fallback="escape"
+            ),
+        )
+        result = run_point(Mesh(4, 4), EbdaDesignFactory("negative-first"), config)
+        assert out.splitlines()[0] == result.stats.summary(16)
+        assert result.stats.faults_injected == 2
