@@ -3,8 +3,8 @@
 The simulation-heavy experiments (V2/V3/V7) run through the
 :class:`~repro.sim.parallel.SweepEngine`; each benchmark records the
 engine's :class:`~repro.sim.parallel.SweepReport` in ``extra_info`` so
-``BENCH_*.json`` captures per-point wall times and cache effectiveness
-alongside the timing.
+``pytest --benchmark-json`` captures per-point wall times and cache
+effectiveness alongside the timing.
 """
 
 from benchmarks.conftest import report

@@ -27,50 +27,3 @@ def report(result) -> None:
     print(result.report())
     result.require()
 
-
-def pytest_sessionfinish(session, exitstatus) -> None:
-    """Write one ``BENCH_<module>.json`` per benchmarked module.
-
-    Groups the session's pytest-benchmark results by source module
-    (``bench_micro.py`` -> ``BENCH_micro.json``) and records each test's
-    timing stats plus its ``extra_info`` through
-    :func:`benchmarks.benchlib.write_bench_json` — the same artifact
-    shape the script-style benchmarks write directly.
-    """
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    if bench_session is None or not bench_session.benchmarks:
-        return
-    from pathlib import Path
-
-    from benchmarks.benchlib import write_bench_json
-
-    by_module: dict = {}
-    for bench in bench_session.benchmarks:
-        module = bench.fullname.split("::")[0]
-        name = Path(module).stem.removeprefix("bench_")
-        by_module.setdefault(name, []).append(bench)
-    for name, benches in sorted(by_module.items()):
-        entries = []
-        total_s = 0.0
-        rounds = 0
-        for bench in benches:
-            stats = bench.stats
-            total_s += stats.total
-            rounds += stats.rounds
-            entries.append(
-                {
-                    "test": bench.name,
-                    "mean_s": stats.mean,
-                    "min_s": stats.min,
-                    "rounds": stats.rounds,
-                    "extra": dict(bench.extra_info or {}),
-                }
-            )
-        path = write_bench_json(
-            name,
-            params={"tests": [e["test"] for e in entries]},
-            wall_s=total_s,
-            throughput=(rounds / total_s) if total_s else None,
-            extra={"benchmarks": entries},
-        )
-        print(f"\nbenchmark record written to {path}")

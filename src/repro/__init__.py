@@ -66,7 +66,7 @@ from repro.errors import (
     UnroutableError,
 )
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 #: The stable facade (PEP 562 lazy exports): resolving any of these pulls
 #: in the simulator/verification stack on first use, keeping plain

@@ -10,7 +10,6 @@ anything new.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
@@ -30,7 +29,7 @@ def write_baseline(reports: Sequence[AnalysisReport], path: str | Path) -> int:
         for diag in report.diagnostics:
             entries[diag.fingerprint()] = f"{diag.rule} {diag.design or report.unit_name}"
     payload = {"version": BASELINE_VERSION, "fingerprints": entries}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    jsonio.atomic_write(path, (jsonio.pretty(payload, sort_keys=True) + "\n").encode())
     return len(entries)
 
 

@@ -12,9 +12,9 @@ SARIF consumers and the ``--baseline`` mechanism agree on identity.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 
+from repro import jsonio
 from repro.analyze.diagnostics import RULES, Diagnostic, Severity
 from repro.analyze.engine import AnalysisReport
 
@@ -65,7 +65,7 @@ def render_json(reports: Sequence[AnalysisReport]) -> str:
             s.value: sum(r.counts[s.value] for r in reports) for s in Severity
         },
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return jsonio.pretty(payload, sort_keys=True)
 
 
 def _sarif_level(severity: Severity) -> str:
@@ -162,7 +162,7 @@ def render_sarif(reports: Sequence[AnalysisReport]) -> str:
             }
         ],
     }
-    return json.dumps(log, indent=2)
+    return jsonio.pretty(log)
 
 
 RENDERERS = {

@@ -87,6 +87,10 @@ class CampaignConfig:
             raise SimulationError("a campaign needs at least one trial")
         if self.max_faults < 0:
             raise SimulationError("max_faults cannot be negative")
+        for name in ("cycles", "buffer_depth", "watchdog"):
+            value = getattr(self, name)
+            if value < 1:
+                raise SimulationError(f"{name} must be >= 1, got {value!r}")
         object.__setattr__(self, "mesh", tuple(int(k) for k in self.mesh))
         object.__setattr__(self, "workloads", tuple(self.workloads))
         object.__setattr__(self, "policies", tuple(self.policies))

@@ -95,6 +95,7 @@ import time
 from contextlib import contextmanager
 from typing import Sequence
 
+from repro import jsonio
 from repro.analysis import format_turn_table
 from repro.cdg import verify_design
 from repro.core import PartitionSequence, catalog, extract_turns, partition_vc_budget
@@ -361,9 +362,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    import json
-
-    from repro import jsonio
     from repro.errors import RoutingError
     from repro.sim import (
         NAMED_ROUTING_FACTORIES,
@@ -415,8 +413,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print(report.summary())
     print(report.stage_summary())
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
+        jsonio.atomic_write(args.report, jsonio.pretty(report.to_dict()).encode())
         print(f"report written to {args.report}")
     if args.metrics_out:
         # Per-point compact summaries (full per-channel series belong to
@@ -715,8 +712,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     else:
         rendered = render_text(reports, verbose=args.verbose)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(rendered + "\n")
+        jsonio.atomic_write(args.output, (rendered + "\n").encode())
         print(f"{args.format} report written to {args.output}")
     else:
         print(rendered)
@@ -769,8 +765,6 @@ def _describe_region(region: dict) -> str:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    import json
-
     from repro.analyze import (
         SYMBOLIC_FAMILIES,
         certify_all,
@@ -810,7 +804,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             "differential": None if gate is None else gate.to_dict(),
             "ok": failures == 0,
         }
-        rendered = json.dumps(payload, indent=2, sort_keys=True)
+        rendered = jsonio.pretty(payload, sort_keys=True)
     else:
         lines = []
         for rep in reports:
@@ -853,8 +847,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         rendered = "\n".join(lines)
 
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rendered + "\n")
+        jsonio.atomic_write(args.out, (rendered + "\n").encode())
         print(f"{args.format} certification report written to {args.out}")
     else:
         print(rendered)
@@ -865,10 +858,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
         os.makedirs(args.cert_dir, exist_ok=True)
         for rep in reports:
             path = os.path.join(args.cert_dir, f"{rep.family}.json")
-            with open(path, "w") as fh:
-                fh.write(
-                    json.dumps([c.to_dict() for c in rep.certificates]) + "\n"
-                )
+            certs = jsonio.line([c.to_dict() for c in rep.certificates])
+            jsonio.atomic_write(path, (certs + "\n").encode())
         print(f"{len(reports)} certificate files written to {args.cert_dir}")
 
     _ledger_certify(names, reports, failures, time.perf_counter() - start)
@@ -911,9 +902,6 @@ def _ledger_certify(
 
 
 def cmd_exists(args: argparse.Namespace) -> int:
-    import json
-
-    from repro import jsonio
     from repro.core.arbitrary import verdict_from_turns
     from repro.topology.irregular import GraphTopology
 
@@ -955,7 +943,7 @@ def cmd_exists(args: argparse.Namespace) -> int:
     verdict = verdict_from_turns(topology, turnset, sequence.all_channels)
 
     if args.format == "json":
-        print(json.dumps({
+        print(jsonio.pretty({
             "graph": {"nodes": len(topology.nodes), "edges": len(topology.links)},
             "design": design_text,
             "safe": verdict.safe,
@@ -963,7 +951,7 @@ def cmd_exists(args: argparse.Namespace) -> int:
             "dependencies": verdict.dependencies,
             "core": verdict.core,
             "cycle": list(verdict.cycle),
-        }, indent=2, sort_keys=True))
+        }, sort_keys=True))
     else:
         print(
             f"graph: {len(topology.nodes)} nodes,"
@@ -993,15 +981,13 @@ def cmd_runs(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "show":
-        import json
-
         matches = ledger.find(args.run_id)
         if not matches:
             raise SystemExit(
                 f"no run matches id prefix {args.run_id!r} in {ledger.path}"
             )
         for r in matches:
-            print(json.dumps(r.to_dict(), indent=2, sort_keys=True))
+            print(jsonio.pretty(r.to_dict(), sort_keys=True))
         return 0
 
     # diff: identity groups whose outcome digest changed across records.

@@ -15,7 +15,6 @@ compares against the recorded expectation.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -78,7 +77,8 @@ def save_entry(entry: CorpusEntry, corpus_dir: str | Path) -> Path:
     directory = Path(corpus_dir)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"fuzz-{entry.id}.json"
-    path.write_text(json.dumps(entry.to_dict(), indent=2, sort_keys=True) + "\n")
+    text = jsonio.pretty(entry.to_dict(), sort_keys=True) + "\n"
+    jsonio.atomic_write(path, text.encode())
     return path
 
 

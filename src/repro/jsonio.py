@@ -1,9 +1,10 @@
 """Strict JSON: one encoder/decoder pair for every artifact the library trusts.
 
-Writes reject ``NaN``/``Infinity`` (:func:`line`, :func:`canonical`); reads
-reject them too and name ``path:lineno`` (:func:`read_jsonl`,
-:func:`read_json`); :func:`atomic_write` replaces a file via tmp + rename;
-:func:`canonical` is the byte form every content digest is computed over.
+Writes reject ``NaN``/``Infinity`` (:func:`line`, :func:`pretty`,
+:func:`canonical`); reads reject them too and name ``path:lineno``
+(:func:`read_jsonl`, :func:`read_json`); :func:`atomic_write` replaces a
+file via tmp + rename; :func:`canonical` is the byte form every content
+digest is computed over.
 :mod:`repro.analyze.certcheck` keeps its own canonicaliser on purpose: the
 independent checker shares no code with what it checks.
 """
@@ -24,6 +25,7 @@ __all__ = [
     "canonical",
     "line",
     "loads",
+    "pretty",
     "read_json",
     "read_jsonl",
     "write_jsonl",
@@ -38,6 +40,10 @@ _CANONICAL = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False
 )
 _LINE = json.JSONEncoder(ensure_ascii=True, allow_nan=False)
+_PRETTY = json.JSONEncoder(indent=2, ensure_ascii=True, allow_nan=False)
+_PRETTY_SORTED = json.JSONEncoder(
+    indent=2, sort_keys=True, ensure_ascii=True, allow_nan=False
+)
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 #: A JSON string literal, or (group 1) a bare non-finite constant.
@@ -52,6 +58,11 @@ def canonical(obj: Any) -> str:
 def line(obj: Any) -> str:
     """One strict JSON line (``json.dumps`` layout, insertion-ordered keys)."""
     return _LINE.encode(obj)
+
+
+def pretty(obj: Any, *, sort_keys: bool = False) -> str:
+    """Strict JSON for people to read (``json.dumps(indent=2)`` layout)."""
+    return (_PRETTY_SORTED if sort_keys else _PRETTY).encode(obj)
 
 
 def loads(text: str) -> Any:
@@ -116,8 +127,9 @@ def write_jsonl(path: str | Path, records: Iterable[Any]) -> int:
     return count
 
 
-def atomic_write(path: Path, data: bytes) -> None:
+def atomic_write(path: str | Path, data: bytes) -> None:
     """Replace ``path`` with ``data`` via a tmp file + ``os.replace``."""
+    path = Path(path)
     tmp = path.with_suffix(f".tmp.{os.getpid()}")
     tmp.write_bytes(data)
     os.replace(tmp, path)

@@ -20,7 +20,7 @@ ways:
   histogram series), ready to serve from a ``/metrics`` endpoint;
 * :meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.to_jsonl` —
   a strict-JSON snapshot per instrument, for machine-readable trend
-  tracking alongside the benchmark ``BENCH_*.json`` files.
+  tracking.
 
 Instruments are cheap (a dict hit + float add) and the registry is
 import-light, so the hot paths pay one attribute lookup when metrics go

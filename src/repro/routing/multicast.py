@@ -22,13 +22,19 @@ The simulator supports the waypoint-absorbing worms natively
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.core.channel import Channel
 from repro.errors import RoutingError
 from repro.routing.base import Candidate, RoutingFunction
-from repro.sim.flit import Packet
 from repro.topology.base import Coord
 from repro.topology.classes import row_parity
 from repro.topology.mesh import Mesh
+
+if TYPE_CHECKING:
+    # Routing sits below the simulator: importing repro.sim here would
+    # load the vector backend (and numpy) on every routing import.
+    from repro.sim.flit import Packet
 
 #: Channel classes of the up network (partition PA of §6.2).
 UP_CLASSES = (
@@ -137,6 +143,8 @@ def plan_dual_path(
     (ascending labels on the up network) and the low worm; either may be
     None when its group is empty.  Callers re-stamp pid/created/length.
     """
+    from repro.sim.flit import Packet
+
     width = topology.shape[0]
     src_label = hamiltonian_label(src, width)
     uniq = sorted(

@@ -40,6 +40,7 @@ from collections import deque
 from typing import Callable, Sequence
 
 from repro.errors import (
+    ConfigError,
     DeadlockDetected,
     FaultError,
     RoutingError,
@@ -188,7 +189,7 @@ class NetworkSimulator:
 
         wires = sorted(wires_for(topology, routing.channel_classes, rule))
         if not wires:
-            raise SimulationError("routing channel classes instantiate no wires")
+            raise ConfigError("routing channel classes instantiate no wires")
         self.wires: tuple[Wire, ...] = tuple(wires)
         self.state: dict[Wire, WireState] = {
             w: WireState(w, buffer_depth) for w in self.wires

@@ -285,7 +285,7 @@ class SweepReport:
 
     ``repro.sweep``/:meth:`SweepEngine.sweep` return this instead of a
     bare result list so speedups and cache effectiveness are measurable
-    (``BENCH_*.json`` records them via :meth:`to_dict`).
+    (the benchmark suite records them via :meth:`to_dict`).
     """
 
     points: list[PointOutcome]

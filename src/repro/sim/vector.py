@@ -179,7 +179,7 @@ class VectorSimulator:
 
         wires = sorted(wires_for(topology, routing.channel_classes, rule))
         if not wires:
-            raise SimulationError("routing channel classes instantiate no wires")
+            raise ConfigError("routing channel classes instantiate no wires")
         self.wires: tuple[Wire, ...] = tuple(wires)
         W = len(wires)
         self._W = W

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.errors import TopologyError
 from repro.topology.base import Link
 
 #: A rule maps each link to the class tag channels need to ride it.
@@ -42,10 +43,22 @@ def column_parity(link: Link) -> str:
     return ""
 
 
+def _missing_coordinate(rule: str, coordinate: int, link: Link) -> TopologyError:
+    """The error for a rule that reads a coordinate the topology lacks."""
+    return TopologyError(
+        f"class rule {rule} reads coordinate {coordinate} of each link, "
+        f"but the topology is {len(link.src)}-dimensional"
+    )
+
+
 def row_parity(link: Link) -> str:
     """Hamiltonian-path classing: X links tagged by the parity of their row."""
     if link.dim == 0:
-        return "e" if link.src[1] % 2 == 0 else "o"
+        try:
+            row = link.src[1]
+        except IndexError:
+            raise _missing_coordinate("row-parity", 1, link) from None
+        return "e" if row % 2 == 0 else "o"
     return ""
 
 
@@ -54,7 +67,13 @@ def parity_rule(classed_dim: int, parity_of: int) -> ClassRule:
 
     def rule(link: Link) -> str:
         if link.dim == classed_dim:
-            return "e" if link.src[parity_of] % 2 == 0 else "o"
+            try:
+                coordinate = link.src[parity_of]
+            except IndexError:
+                raise _missing_coordinate(
+                    f"parity({classed_dim}, {parity_of})", parity_of, link
+                ) from None
+            return "e" if coordinate % 2 == 0 else "o"
         return ""
 
     return rule

@@ -50,7 +50,7 @@ class TestPerRegionConstruction:
 
 
 class TestMinimalFullyAdaptive:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_channel_count_matches_formula(self, n):
         seq = minimal_fully_adaptive(n)
         assert seq.channel_count == min_channels(n)

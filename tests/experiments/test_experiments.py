@@ -12,6 +12,7 @@ from repro.experiments import (
     ALL_EXPERIMENTS,
     algorithm1_demo,
     cdg_validation,
+    chaos_campaign,
     complexity,
     deadlock_demo,
     fig3,
@@ -53,6 +54,7 @@ FAST_EXPERIMENTS = [
     ("S5", lambda: algorithm1_demo.run()),
     ("S6.1", lambda: turnmodel_search.run()),
     ("S6.2", lambda: hamiltonian.run()),
+    ("V9", lambda: chaos_campaign.run()),
 ]
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ConfigError
 from repro.routing import MinimalFullyAdaptive, UnrestrictedAdaptive, xy_routing
 from repro.sim import (
     NetworkSimulator,
@@ -172,5 +172,5 @@ class TestValidation:
             def channel_classes(self):
                 return ()
 
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             NetworkSimulator(mesh4, NoChannels(mesh4))

@@ -109,6 +109,13 @@ class TestRunPointBackend:
         with pytest.raises(ConfigError, match="unknown backend"):
             run_point(mesh4, "xy", RunConfig(cycles=100, backend="warp"))
 
+    @pytest.mark.parametrize("backend", ["reference", "vector"])
+    def test_design_with_no_wires_is_bad_input(self, mesh4, backend):
+        # A Z channel has no link on a 2-D mesh: a config error on both
+        # backends (the fuzz oracle compares their exception types).
+        with pytest.raises(ConfigError, match="instantiate no wires"):
+            run_point(mesh4, "Z+", RunConfig(cycles=10, backend=backend))
+
 
 class TestUnsupportedFeatures:
     def test_metrics_refused_up_front(self, mesh4):

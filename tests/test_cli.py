@@ -7,6 +7,17 @@ from hypothesis import strategies as st
 from repro.cli import main
 
 
+def _subprocess_env():
+    """The environment for a fresh interpreter importing this checkout."""
+    import os
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": src}
+
+
 class TestList:
     def test_lists_experiments_and_designs(self, capsys):
         assert main(["list"]) == 0
@@ -379,6 +390,27 @@ class TestLint:
         assert main(["lint", "X+ X- Y- -> Y+", "--full-adaptive"]) == 1
         assert "EBDA009" in capsys.readouterr().out
 
+    def test_lint_all_never_loads_numpy(self):
+        # Static checks stay off the simulator stack: numpy is half of a
+        # cold `repro lint` if anything below the CLI imports repro.sim.
+        import subprocess
+        import sys
+
+        script = (
+            "import contextlib, io, sys\n"
+            "import repro.cli\n"
+            "assert 'numpy' not in sys.modules, 'import repro.cli loaded numpy'\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = repro.cli.main(['lint', '--all'])\n"
+            "assert code == 0, code\n"
+            "assert 'numpy' not in sys.modules, 'lint --all loaded numpy'\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=_subprocess_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestChaosCli:
     ARGS = ["chaos", "--trials", "6", "--cycles", "150", "--mesh", "3x3"]
@@ -597,6 +629,9 @@ BAD_INPUT = {
     "verify-unknown-rule": ["verify", "xy", "--mesh", "4x4", "--rule", "nope"],
     "verify-rule-instantiates-nothing":
         ["verify", "xy", "--mesh", "4x4", "--rule", "dragonfly"],
+    "verify-rule-missing-dimension": ["verify", "hamiltonian", "--mesh", "8"],
+    "verify-explicit-rule-missing-dimension":
+        ["verify", "xy", "--mesh", "8", "--rule", "row-parity"],
     "design-budget": ["design", "abc"],
     "design-zero-budget": ["design", "0,2"],
     "logic-mesh": ["logic", "xy", "--mesh", "4x"],
@@ -633,6 +668,7 @@ BAD_INPUT = {
     "sweep-pattern": ["sweep", "xy", "--mesh", "4x4", "--pattern", "nope"],
     "sweep-selection": ["sweep", "xy", "--mesh", "4x4", "--selection", "nope"],
     "sweep-mesh": ["sweep", "xy", "--mesh", "4x4x"],
+    "sweep-no-wires": ["sweep", "Z+", "--mesh", "4x4"],
     "inspect-missing": ["inspect", "{tmp}/absent.jsonl"],
     "inspect-garbage": ["inspect", "{tmp}/garbage.jsonl"],
     "lint-design": ["lint", "nosuch-design"],
@@ -647,6 +683,9 @@ BAD_INPUT = {
     "exists-garbage": ["exists", "{tmp}/garbage.jsonl"],
     "chaos-mesh": ["chaos", "--mesh", "huge"],
     "chaos-trials": ["chaos", "--trials", "0"],
+    "chaos-cycles": ["chaos", "--cycles", "0"],
+    "chaos-buffers": ["chaos", "--buffers", "0"],
+    "chaos-watchdog": ["chaos", "--watchdog", "0"],
     "chaos-workloads": ["chaos", "--workloads", "nope"],
     "chaos-policies": ["chaos", "--policies", "nope"],
     "chaos-load": ["chaos", "--load", "{tmp}/garbage.jsonl"],
@@ -783,19 +822,14 @@ class TestExitCodeContract:
         ids=["lint-design", "sweep-rates", "lint-output"],
     )
     def test_installed_entry_point(self, tmp, argv):
-        import os
         import subprocess
         import sys
-        from pathlib import Path
 
-        import repro
-
-        src = str(Path(repro.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "repro", *(a.format(tmp=tmp) for a in argv)],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": src},
+            env=_subprocess_env(),
         )
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr

@@ -1,5 +1,8 @@
 """Unit tests for spatial class rules."""
 
+import pytest
+
+from repro.errors import TopologyError
 from repro.topology import (
     Mesh,
     Torus,
@@ -40,6 +43,10 @@ class TestRowParity:
         m = Mesh(4, 4)
         assert row_parity(m.link((0, 0), (0, 1))) == ""
 
+    def test_one_dimensional_mesh_has_no_row(self):
+        with pytest.raises(TopologyError, match="reads coordinate 1"):
+            row_parity(Mesh(8).link((0,), (1,)))
+
 
 class TestParityRule:
     def test_general_rule(self):
@@ -47,6 +54,11 @@ class TestParityRule:
         rule = parity_rule(classed_dim=0, parity_of=0)
         assert rule(m.link((0, 0), (1, 0))) == "e"
         assert rule(m.link((1, 0), (2, 0))) == "o"
+
+    def test_missing_coordinate_rejected(self):
+        rule = parity_rule(classed_dim=0, parity_of=2)
+        with pytest.raises(TopologyError, match="2-dimensional"):
+            rule(Mesh(4, 4).link((0, 0), (1, 0)))
 
 
 class TestDateline:
